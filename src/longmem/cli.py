@@ -15,7 +15,15 @@ import numpy as np
 from .estimate import FitResult, _stderr, blue_mean, fit_qmle, fit_whittle, predictors
 from .models import Family, ModelSpec
 from .montecarlo import MCConfig, emit_table, run_mc
-from .simulate import GENERATORS, GenConfig, Series, series_from_csv, series_to_csv, simulate
+from .simulate import (
+    GENERATORS,
+    EmbeddingError,
+    GenConfig,
+    Series,
+    series_from_csv,
+    series_to_csv,
+    simulate,
+)
 
 __all__ = ["AnalysisResult", "detrend_linear", "main"]
 
@@ -67,7 +75,7 @@ def _fail(message: str, code: int = 1) -> int:
 
 
 def _emit(obj: dict, out: str | None) -> None:
-    text = json.dumps(obj, indent=2)
+    text = json.dumps(obj, indent=2, allow_nan=False)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -123,7 +131,10 @@ def cmd_mc(args) -> int:
         config = MCConfig.from_json(args.config)
     except (OSError, ValueError, KeyError) as exc:
         return _fail(f"bad MC config: {exc}")
-    report = run_mc(config, workers=args.workers)
+    try:
+        report = run_mc(config, workers=args.workers)
+    except (EmbeddingError, ValueError) as exc:
+        return _fail(f"Monte Carlo campaign failed: {exc}")
     if args.out:
         report.to_json(args.out)
     if args.table:

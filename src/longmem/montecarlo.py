@@ -153,13 +153,17 @@ class MCReport:
             "family": self.config.family.value,
             "replications": self.config.replications,
             "base_seed": self.config.base_seed,
-            "records": [vars(rec) | {"gamma_star": list(rec.gamma_star)} for rec in self.records],
+            "records": [
+                {k: _null_nan(v) for k, v in vars(rec).items()}
+                | {"gamma_star": list(rec.gamma_star)}
+                for rec in self.records
+            ],
             "raw": [
                 {
                     "cell_index": key[0],
                     "n": key[1],
                     "estimator": key[2],
-                    "estimates": [[None if np.isnan(v) else v for v in row] for row in val],
+                    "estimates": [[_null_nan(v) for v in row] for row in val],
                 }
                 for key, val in self.raw.items()
             ],
@@ -167,7 +171,12 @@ class MCReport:
 
     def to_json(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.as_dict(), fh, indent=1)
+            json.dump(self.as_dict(), fh, indent=1, allow_nan=False)
+
+
+def _null_nan(value):
+    """NaN (an empty or one-replication aggregate, a failed fit) as JSON null."""
+    return None if isinstance(value, float) and np.isnan(value) else value
 
 
 def _simulate_replication(spec: ModelSpec, n: int, config: MCConfig, seed_seq) -> np.ndarray:

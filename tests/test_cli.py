@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import numpy as np
@@ -6,7 +7,14 @@ import pytest
 from longmem.cli import detrend_linear, main
 from longmem.estimate import blue_mean, fit_qmle
 from longmem.models import ModelSpec
-from longmem.simulate import GenConfig, Series, series_from_csv, series_to_csv, simulate
+from longmem.simulate import (
+    EmbeddingError,
+    GenConfig,
+    Series,
+    series_from_csv,
+    series_to_csv,
+    simulate,
+)
 
 
 def run_cli(*argv):
@@ -155,6 +163,52 @@ def test_cli_mc_bad_config(tmp_path):
     config.write_text("{\"family\": \"farima00\"}")
     assert run_cli("mc", "--config", str(config)) == 1
     assert run_cli("mc", "--config", str(tmp_path / "missing.json")) == 1
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-strict JSON token {token}")
+
+
+def _write_mc_config(path, replications):
+    path.write_text(
+        json.dumps(
+            {
+                "family": "farima00",
+                "cells": [{"gamma": [0.2], "sigma2": 4.0}],
+                "n_grid": [200],
+                "replications": replications,
+                "estimators": ["qmle"],
+                "base_seed": 99,
+            }
+        )
+    )
+    return path
+
+
+def test_cli_mc_output_is_strict_json(tmp_path, capsys):
+    # one replication leaves mc_se undefined; it must come out as null
+    config = _write_mc_config(tmp_path / "mc.json", replications=1)
+    assert run_cli("mc", "--config", str(config)) == 0
+    data = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert all(rec["mc_se"] is None for rec in data["records"])
+    assert all(rec["sqrt_mse"] is not None for rec in data["records"])
+
+
+@pytest.mark.parametrize(
+    "exc", [EmbeddingError(-1.0, 512), ValueError("bad autocovariance")], ids=["embedding", "value"]
+)
+def test_cli_mc_campaign_failure_exits_with_message(tmp_path, capsys, monkeypatch, exc):
+    def broken_embedding(spec, n):
+        raise exc
+
+    # the package re-exports the function simulate, which shadows the module
+    monkeypatch.setattr(importlib.import_module("longmem.simulate"), "_embedding", broken_embedding)
+    config = _write_mc_config(tmp_path / "mc.json", replications=2)
+    assert run_cli("mc", "--config", str(config)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(exc) in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,32 @@ def test_fit_qmle_farima10_two_dimensional():
     assert abs(fit.gamma_hat[1] - 0.5) < 0.15
 
 
+def test_fit_2d_converged_follows_winning_restart(monkeypatch):
+    from scipy.optimize import OptimizeResult
+
+    import longmem.estimate as estimate
+
+    calls = []
+
+    def fake_minimize(fun, x0, **kwargs):
+        # the second restart wins without converging; every loser converges
+        calls.append(x0)
+        winner = len(calls) == 2
+        return OptimizeResult(
+            x=np.array([0.3, 0.1]) if winner else np.asarray(x0, dtype=float),
+            fun=1.0 if winner else 10.0 + len(calls),
+            nfev=7,
+            success=not winner,
+        )
+
+    monkeypatch.setattr(estimate, "minimize", fake_minimize)
+    fit = fit_qmle(sim("farima10", (0.2, 0.5), 1.0, 200, seed=53), "farima10")
+    assert len(calls) == 5
+    assert fit.gamma_hat == (0.3, 0.1)
+    assert fit.objective == 1.0
+    assert not fit.converged
+
+
 def test_fit_qmle_stderr():
     series = sim("farima00", (0.2,), 4.0, 2000, seed=59)
     fit = fit_qmle(series, "farima00", with_stderr=True)

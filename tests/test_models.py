@@ -233,6 +233,42 @@ def test_invert_series_round_trip_property(tail, c0):
     assert np.allclose(prod, expect, atol=1e-12 * scale)
 
 
+def _invert_series_reference(c):
+    # O(K^2) recursion b_k = -sum_{j=1..k} c_j b_{k-j} / c_0
+    c = np.asarray(c, dtype=float)
+    b = np.empty(c.size)
+    b[0] = 1.0 / c[0]
+    for k in range(1, c.size):
+        b[k] = -np.dot(c[1 : k + 1], b[k - 1 :: -1]) / c[0]
+    return b
+
+
+@pytest.mark.parametrize("d", [0.011, 0.25, 0.489, 0.9])
+def test_invert_series_matches_recursion_on_lm_polynomials(d):
+    # built inline: d = 0.9 lies outside the ModelSpec domain
+    k = np.arange(1.0, 12_001)
+    c = np.concatenate([[1.0], -(k ** (-1.0 - d)) / riemann_zeta(1.0 + d)])
+    ref = _invert_series_reference(c)
+    assert np.all(ref > 0.0)  # renewal sequence: relative error is well defined
+    assert np.max(np.abs(invert_series(c) / ref - 1.0)) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "c",
+    [
+        [2.5],
+        [1.0, 0.4],
+        [1.0, -0.3, 0.2],
+        [1.0, 0.5, -0.25, 0.125, 0.3, -0.1, 0.05],  # length 7, not a power of two
+        [-3.0, 1.2, 0.7, -0.4, 0.9],  # c_0 != 1
+    ],
+)
+def test_invert_series_edge_cases_match_recursion(c):
+    b = invert_series(c)
+    assert b.shape == (len(c),)
+    assert np.allclose(b, _invert_series_reference(c), rtol=1e-14, atol=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # Convolution identity (the AR/MA correspondence)
 # ---------------------------------------------------------------------------

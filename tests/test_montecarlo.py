@@ -179,6 +179,19 @@ def test_report_json_export(tmp_path):
     assert len(data["raw"][0]["estimates"]) == 3
 
 
+def test_report_json_is_strict_for_single_replication(tmp_path):
+    def reject(token):
+        raise ValueError(f"non-strict JSON token {token}")
+
+    report = run_mc(small_config(replications=1))
+    assert np.isnan(report.lookup(0, 200, "qmle", "d").mc_se)
+    out = tmp_path / "report.json"
+    report.to_json(out)
+    data = json.loads(out.read_text(), parse_constant=reject)
+    assert [rec["mc_se"] for rec in data["records"]] == [None, None]
+    assert data["records"][0]["sqrt_mse"] == report.lookup(0, 200, "qmle", "d").sqrt_mse
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         small_config(replications=0)
