@@ -9,6 +9,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -74,11 +75,18 @@ def _fail(message: str, code: int = 1) -> int:
     return code
 
 
+def _write(path: str, write) -> None:
+    """Run write(path); an unwritable path ends the command with exit code 1."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise SystemExit(_fail(f"cannot write {path}: {exc}"))
+
+
 def _emit(obj: dict, out: str | None) -> None:
     text = json.dumps(obj, indent=2, allow_nan=False)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        _write(out, lambda path: Path(path).write_text(text + "\n"))
     else:
         print(text)
 
@@ -97,7 +105,7 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         return _fail(str(exc))
     if args.out:
-        series_to_csv(series, args.out)
+        _write(args.out, lambda path: series_to_csv(series, path))
     else:
         print("x")
         for v in series.values:
@@ -136,7 +144,7 @@ def cmd_mc(args) -> int:
     except (EmbeddingError, ValueError) as exc:
         return _fail(f"Monte Carlo campaign failed: {exc}")
     if args.out:
-        report.to_json(args.out)
+        _write(args.out, report.to_json)
     if args.table:
         print(emit_table(report, format=args.table))
     elif not args.out:

@@ -82,6 +82,8 @@ class FitResult:
     gamma_hat: tuple[float, ...]
     sigma2_hat: float
     objective: float
+    # objective evaluations (nfev), not optimizer iterations; for 2-D gamma
+    # the grid pre-screen and every Nelder-Mead restart are included
     iterations: int
     converged: bool
     boundary_pinned: bool = False

@@ -19,14 +19,7 @@ import numpy as np
 
 from .estimate import fit_qmle, fit_whittle
 from .models import GAMMA_NAMES, Family, ModelSpec
-from .simulate import (
-    GenConfig,
-    Series,
-    _sample_exact_gaussian,
-    _sample_truncated_ma,
-    derive_seed,
-    rng_from_seed,
-)
+from .simulate import GENERATORS, GenConfig, derive_seed, simulate
 
 logger = logging.getLogger(__name__)
 
@@ -79,6 +72,10 @@ class MCConfig:
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if any(n < 2 for n in self.n_grid):
+            raise ValueError(f"every n in n_grid must be >= 2, got {self.n_grid}")
+        if self.generator not in GENERATORS:
+            raise ValueError(f"unknown generator {self.generator!r}")
         for est in self.estimators:
             if est not in _ESTIMATORS:
                 raise ValueError(f"unknown estimator {est!r}")
@@ -179,24 +176,15 @@ def _null_nan(value):
     return None if isinstance(value, float) and np.isnan(value) else value
 
 
-def _simulate_replication(spec: ModelSpec, n: int, config: MCConfig, seed_seq) -> np.ndarray:
-    rng = rng_from_seed(seed_seq)
-    if config.generator == "exact-gaussian":
-        return _sample_exact_gaussian(spec, n, rng)
-    cfg = GenConfig(
-        generator="truncated-ma",
-        seed=0,
-        K=config.gen_K_mult * n,
-        burnin=config.gen_burnin_mult * n,
-    )
-    return _sample_truncated_ma(spec, n, cfg, rng)
-
-
 def _run_block(config, spec, n, n_index, cell_index, reps, estimates):
     for r in reps:
-        seed_seq = derive_seed(config.base_seed, cell_index, n_index, r)
-        values = _simulate_replication(spec, n, config, seed_seq)
-        series = Series(values=values)
+        gen = GenConfig(
+            generator=config.generator,
+            seed=derive_seed(config.base_seed, cell_index, n_index, r),
+            K=config.gen_K_mult * n,
+            burnin=config.gen_burnin_mult * n,
+        )
+        series = simulate(spec, n, gen)
         for est in config.estimators:
             try:
                 fit = _ESTIMATORS[est](series, config.family, bounds=spec.gamma_bounds)

@@ -74,10 +74,14 @@ class Series:
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Generator choice plus seed; K and burnin apply to truncated-ma only."""
+    """Generator choice plus seed; K and burnin apply to truncated-ma only.
+
+    seed is an integer or a ``np.random.SeedSequence``, such as the
+    per-replication stream a campaign derives with ``derive_seed``.
+    """
 
     generator: str = "exact-gaussian"
-    seed: int = 0
+    seed: int | np.random.SeedSequence = 0
     K: int | None = None
     burnin: int = 0
 

@@ -297,6 +297,25 @@ def test_cli_exit_codes(tmp_path):
     assert run_cli("simulate", "--n", "100", "--d", "0.2", "--sigma2", "-1") == 1
 
 
+@pytest.mark.parametrize("command", ["simulate", "fit", "blue", "analyze", "mc"])
+def test_cli_unwritable_out_exits_with_message(tmp_path, capsys, command):
+    good = tmp_path / "good.csv"
+    series_to_csv(simulate(ModelSpec(family="farima00", gamma=(0.2,)), 200, GenConfig(seed=1)), good)
+    config = _write_mc_config(tmp_path / "mc.json", replications=2)
+    args = {
+        "simulate": ["simulate", "--n", "100"],
+        "fit": ["fit", str(good)],
+        "blue": ["blue", str(good)],
+        "analyze": ["analyze", str(good), "--family", "farima00"],
+        "mc": ["mc", "--config", str(config)],
+    }[command]
+    out = tmp_path / "missing" / "dir" / "out.x"
+    assert run_cli(*args, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}")
+    assert "Traceback" not in err
+
+
 def test_cli_simulate_stdout(capsys):
     assert run_cli("simulate", "--n", "5", "--d", "0.2", "--seed", "3") == 0
     out = capsys.readouterr().out.strip().splitlines()

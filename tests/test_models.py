@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from longmem.models import (
     Family,
@@ -16,7 +17,12 @@ from longmem.models import (
     invert_series,
     ma_coeffs,
 )
-from longmem.models import _autocov_by_convolution
+from longmem.models import (
+    _asymptote_fit,
+    _autocov_by_convolution,
+    _ma_coeffs_gamma,
+    _tail_corrections,
+)
 from longmem.specfun import log_gamma, riemann_zeta
 
 
@@ -383,6 +389,36 @@ def test_autocov_convolution_route_matches_closed_form():
         conv = _autocov_by_convolution(Family.FARIMA00, (d,), 50, K=20_000)
         closed = autocovariance(spec_of("farima00", d), 50)
         assert np.max(np.abs(conv - closed)) / closed[0] < 1e-8
+    # the size asymptotic_covariance asks for: the tail correction must hold
+    # between lags too, not only at a few nodes
+    for d in (0.1, 0.45, 0.489):
+        conv = _autocov_by_convolution(Family.FARIMA00, (d,), 19_999)
+        closed = autocovariance(spec_of("farima00", d), 19_999)
+        assert np.max(np.abs(conv - closed)) / closed[0] < 1e-9, d
+
+
+@pytest.mark.parametrize("family, gamma", [("lm", (0.489,)), ("farima10", (0.489, 0.95))])
+def test_tail_corrections_match_per_lag_quadrature(family, gamma):
+    # reference: adaptive quadrature of the tail integral at each lag, on
+    # x = L/t with L = Ka - k + 1/2 (midpoint rule for the sum over i > Ka - k)
+    maxlag = 4096
+    Ka = maxlag + 10_000
+    d = gamma[0]
+    a = _ma_coeffs_gamma(Family(family), gamma, Ka)
+    c, b = _asymptote_fit(a, d)
+    tail = _tail_corrections(c, b, d, Ka, maxlag)
+    r0 = float(a @ a) + tail[0]
+    for k in (0, 1, 8, 3940, 4096):
+        L = Ka - k + 0.5
+
+        def integrand(t):
+            x = L / t
+            return (
+                (c + b / x) * (c + b / (x + k)) * x ** (d - 1.0) * (x + k) ** (d - 1.0) * L / t**2
+            )
+
+        ref, _ = quad(integrand, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=400)
+        assert abs(tail[k] - ref) <= 1e-10 * r0, k
 
 
 def test_coeff_table_is_readonly():

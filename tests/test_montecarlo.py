@@ -199,6 +199,10 @@ def test_config_validation():
         small_config(estimators=("bogus",))
     with pytest.raises(ValueError):
         small_config(cells=(MCCell(gamma=(0.7,), sigma2=1.0),))
+    with pytest.raises(ValueError):
+        small_config(n_grid=(200, 1))  # simulate needs n >= 2
+    with pytest.raises(ValueError):
+        small_config(generator="bogus")
 
 
 def test_d_insensitivity_away_from_half():
