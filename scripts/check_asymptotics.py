@@ -61,7 +61,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--reps", type=int, default=400)
     parser.add_argument("--n", type=int, default=2000)
-    parser.add_argument("--workers", type=int, default=4)
+    parser.add_argument("--workers", type=int, default=4,
+                        help="accepted for compatibility; run_mc runs serially")
     parser.add_argument("--seed", type=int, default=7171)
     args = parser.parse_args(argv)
 

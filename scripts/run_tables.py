@@ -78,7 +78,8 @@ def main(argv=None) -> int:
     parser.add_argument("--table", choices=["farima", "lm", "farima10", "near-half"], action="append",
                         help="repeatable; default: all")
     parser.add_argument("--full", action="store_true", help="full scale: R=1000, n up to 10000")
-    parser.add_argument("--workers", type=int, default=4)
+    parser.add_argument("--workers", type=int, default=4,
+                        help="accepted for compatibility; run_mc runs serially")
     parser.add_argument("--reps", type=int, default=None, help="override the replication count")
     parser.add_argument("--seed", type=int, default=20240915)
     parser.add_argument("--out-prefix", default=None, help="write <prefix>_<table>.json reports")

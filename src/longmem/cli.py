@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimate import FitResult, _stderr, blue_mean, fit_qmle, fit_whittle, predictors
+from .estimate import FitResult, blue_mean, fit_qmle, fit_whittle, predictors, standard_errors
 from .models import Family, ModelSpec
 from .montecarlo import MCConfig, emit_table, run_mc
 from .simulate import (
@@ -139,6 +139,9 @@ def cmd_mc(args) -> int:
         config = MCConfig.from_json(args.config)
     except (OSError, ValueError, KeyError) as exc:
         return _fail(f"bad MC config: {exc}")
+    if args.out:
+        # fail before the campaign, not after it; "a" keeps an existing file
+        _write(args.out, lambda path: open(path, "a").close())
     try:
         report = run_mc(config, workers=args.workers)
     except (EmbeddingError, ValueError) as exc:
@@ -184,7 +187,7 @@ def cmd_analyze(args) -> int:
                 fit = _run_fit(work, family, est, with_stderr=False)
                 # sigma2 standard error uses the fourth moment estimated from
                 # this fit's standardized residuals (noise-distribution-dependent)
-                fit.stderr = _stderr(
+                fit.stderr = standard_errors(
                     fit.family, fit.gamma_hat, fit.sigma2_hat, work.n, _residual_mu4(work, fit)
                 )
             except (ValueError, RuntimeError) as exc:
@@ -252,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="MCConfig JSON path")
     p.add_argument("--out", default=None, help="write the full report JSON here")
     p.add_argument("--table", default=None, choices=["csv", "markdown"])
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="accepted; campaigns run serially")
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("blue", help="BLUE mean of a CSV series under a fixed model")

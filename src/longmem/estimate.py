@@ -6,7 +6,9 @@
   sigma2_hat = S_n(gamma_hat) / n.  This is exactly the Gaussian
   quasi-maximum likelihood estimator with sigma2 profiled out.
 * Whittle: frequency-domain contrast on the mean-removed periodogram,
-  sigma2 profiled out analytically.
+  sigma2 profiled out analytically.  Every spectral shape is in closed form:
+  the LM one sums its AR weights as 1 - Li_(1+d)(e^(-i lambda)) / zeta(1+d)
+  by the convergent polylogarithm series, with no truncation.
 * BLUE location estimator with Toeplitz weights, plus the asymptotic
   covariance of the QMLE (matrix M and the sigma2 block) and helper scales.
 
@@ -16,14 +18,17 @@ two-dimensional gamma by Nelder-Mead restarted from a deterministic grid.
 
 from __future__ import annotations
 
+import logging
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from scipy.linalg import solve_toeplitz
 from scipy.optimize import minimize, minimize_scalar
 from scipy.signal import fftconvolve
+from scipy.special import gamma as gamma_fn, zeta
 
 from .models import (
     Family,
@@ -37,6 +42,8 @@ from .models import (
 from .simulate import Series
 from .specfun import beta_fn
 
+logger = logging.getLogger(__name__)
+
 __all__ = [
     "FitResult",
     "AsymptoticInfo",
@@ -48,6 +55,7 @@ __all__ = [
     "qmle_gradient",
     "quasi_loglik",
     "fit_qmle",
+    "standard_errors",
     "periodogram",
     "fourier_frequencies",
     "spectral_density",
@@ -64,7 +72,8 @@ _BOUND_MARGIN = 1e-3
 _XATOL_1D = 1e-6
 _TOL_2D = 1e-7
 _PINNED_TOL = 2e-6
-_WHITTLE_LM_K = 100_000
+# terms of the LM polylogarithm series; each is at most half the previous one
+_LM_SERIES_TERMS = 50
 
 
 class IdentifiabilityError(RuntimeError):
@@ -253,15 +262,23 @@ def fit_qmle(
         boundary_pinned=_pinned(gamma_hat, opt_bounds),
     )
     if with_stderr:
-        result.stderr = _stderr(family, gamma_hat, sigma2_hat, n, mu4)
+        result.stderr = standard_errors(family, gamma_hat, sigma2_hat, n, mu4)
     return result
 
 
-def _stderr(family, gamma_hat, sigma2_hat, n, mu4) -> tuple[float, ...] | None:
+def standard_errors(
+    family: Family, gamma_hat, sigma2_hat: float, n: int, mu4: float = 3.0
+) -> tuple[float, ...] | None:
+    """sqrt(diag(M^-1)/n) for gamma, then sqrt(sigma2_hat^2 (mu4-1)/n); None,
+    with a logged warning giving the reason, outside the model domain or when
+    the information matrix is not positive definite."""
     try:
         spec = ModelSpec(family=family, gamma=gamma_hat, sigma2=sigma2_hat)
         info = asymptotic_covariance(spec, mu4=mu4)
-    except (ValueError, IdentifiabilityError):
+    except (ValueError, IdentifiabilityError) as exc:
+        logger.warning(
+            "no standard errors for %s at gamma %s: %s", Family(family).value, gamma_hat, exc
+        )
         return None
     gamma_var = np.diag(np.linalg.inv(info.M))
     se = [math.sqrt(v / n) for v in gamma_var]
@@ -293,41 +310,29 @@ def periodogram(series: Series) -> np.ndarray:
     return np.abs(dft[1 : m + 1]) ** 2 / (2.0 * math.pi * n)
 
 
-def _lm_transfer(gamma, lam, K=_WHITTLE_LM_K):
-    """1 - sum_{k<=K} u_k e^(-i k lambda), with a first-order tail correction."""
-    u = _ar_coeffs_gamma(Family.LM, tuple(gamma), K)
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    z = np.exp(-1j * lam)
-    acc = np.zeros(lam.shape, dtype=complex)
-    k = np.arange(1, K + 1)
-    chunk = max(1, 10**7 // max(lam.size, 1))
-    for lo in range(0, K, chunk):
-        kk = k[lo : lo + chunk]
-        acc += np.exp(-1j * np.outer(lam, kk)) @ u[lo : lo + chunk]
-    tail = u[-1] * z ** (K + 1) / (1.0 - z)
-    return 1.0 - acc - tail
+def _lm_transfer(d: float, lam) -> np.ndarray:
+    """1 - Li_s(e^(-i lam)) / zeta(s), s = 1 + d, lam in (0, pi], by the series
+    Li_s(e^mu) = Gamma(1-s) (-mu)^(s-1) + sum_k zeta(s-k) mu^k / k!, |mu| < 2 pi
+    (Wood 1992).  Its k = 0 term is the normalizing zeta(s) and cancels exactly;
+    against mpmath it is within 1e-15 relative for d in [0.011, 0.489]."""
+    if not 0.0 < d < 1.0:
+        raise ValueError(f"LM transfer function requires d in (0, 1), got {d}")
+    s = 1.0 + d
+    k = np.arange(_LM_SERIES_TERMS)
+    c = zeta(s - k) * (-1j) ** k / gamma_fn(k + 1.0)
+    z = c[0].real
+    c[0] = 0.0
+    li_minus_z = gamma_fn(1.0 - s) * (1j * lam) ** (s - 1.0) + polyval(lam, c)
+    return -li_minus_z / z
 
 
-def _lm_transfer_fourier(gamma, n, K=_WHITTLE_LM_K):
-    """Same quantity at all Fourier frequencies at once, via index folding."""
-    u = _ar_coeffs_gamma(Family.LM, tuple(gamma), K)
-    folded = np.zeros(n)
-    np.add.at(folded, np.arange(1, K + 1) % n, u)
-    m = (n - 1) // 2
-    dft = np.fft.rfft(folded)[1 : m + 1]
-    lam = fourier_frequencies(n)
-    z = np.exp(-1j * lam)
-    tail = u[-1] * z ** (K + 1) / (1.0 - z)
-    return 1.0 - dft - tail
-
-
-def _spectral_shape(family: Family, gamma, lam) -> np.ndarray:
-    """h with f = sigma2 h / (2 pi)."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+def _spectral_shape(family: Family, gamma, lam: np.ndarray) -> np.ndarray:
+    """h with f = sigma2 h / (2 pi), lam in (0, pi]; spectral_density and the
+    Whittle contrast both use it."""
     d = gamma[0]
     if family is Family.LM:
-        return np.abs(_lm_transfer(gamma, lam)) ** -2
-    h = (2.0 * np.sin(lam / 2.0)) ** (-2.0 * d)
+        return np.abs(_lm_transfer(d, lam)) ** -2
+    h = np.exp(-2.0 * d * np.log(2.0 * np.sin(lam / 2.0)))
     if family is Family.FARIMA10:
         h = h * np.abs(1.0 - gamma[1] * np.exp(1j * lam)) ** -2
     return h
@@ -337,12 +342,14 @@ def spectral_density(spec: ModelSpec, lam):
     """Spectral density f(lambda) for lambda in (0, pi] (vectorized).
 
     FARIMA00: f = (sigma2/2pi) (2 sin(lambda/2))^(-2d); FARIMA10 adds the
-    factor |1 - alpha e^(i lambda)|^(-2); LM uses the truncated transfer
-    function of the autoregressive weights with an analytic tail correction.
+    factor |1 - alpha e^(i lambda)|^(-2).  LM: f = (sigma2/2pi) |1 - sum_k
+    u_k e^(-i k lambda)|^(-2) with the AR weights summed in closed form,
+    1 - Li_(1+d)(e^(-i lambda)) / zeta(1+d), by a convergent polylogarithm
+    series; nothing is truncated, and it is exact to about 1e-15 relative.
     """
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    if np.any(lam_arr == 0.0):
-        raise ValueError("spectral density has a pole at lambda = 0")
+    if np.any((lam_arr <= 0.0) | (lam_arr > math.pi)):
+        raise ValueError("lambda must lie in (0, pi]; the spectral density has a pole at 0")
     h = _spectral_shape(Family(spec.family), spec.gamma, lam_arr)
     f = spec.sigma2 * h / (2.0 * math.pi)
     return f if np.ndim(lam) else float(f[0])
@@ -367,24 +374,15 @@ def fit_whittle(
     pgram = periodogram(series)
     lam = fourier_frequencies(n)
     m = lam.size
-    log_lam_shape = np.log(2.0 * np.sin(lam / 2.0))
-
-    def shape(gamma) -> np.ndarray:
-        if family is Family.LM:
-            return np.abs(_lm_transfer_fourier(gamma, n)) ** -2
-        h = np.exp(-2.0 * gamma[0] * log_lam_shape)
-        if family is Family.FARIMA10:
-            h = h * np.abs(1.0 - gamma[1] * np.exp(1j * lam)) ** -2
-        return h
 
     def profiled(gamma) -> float:
-        h = shape(gamma)
+        h = _spectral_shape(family, gamma, lam)
         s2 = (2.0 * math.pi / m) * float(np.sum(pgram / h))
         return m * math.log(s2) + float(np.sum(np.log(h)))
 
     opt_bounds = _fit_bounds(family, bounds)
     gamma_hat, _, nfev, ok = _minimize_gamma(profiled, family, opt_bounds)
-    h_hat = shape(gamma_hat)
+    h_hat = _spectral_shape(family, gamma_hat, lam)
     sigma2_hat = (2.0 * math.pi / m) * float(np.sum(pgram / h_hat))
     f_hat = sigma2_hat * h_hat / (2.0 * math.pi)
     contrast = float(np.sum(np.log(f_hat) + pgram / f_hat))
@@ -399,7 +397,7 @@ def fit_whittle(
         boundary_pinned=_pinned(gamma_hat, opt_bounds),
     )
     if with_stderr:
-        result.stderr = _stderr(family, gamma_hat, sigma2_hat, n, mu4)
+        result.stderr = standard_errors(family, gamma_hat, sigma2_hat, n, mu4)
     return result
 
 

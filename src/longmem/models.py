@@ -13,7 +13,10 @@ weights u_1, u_2, ... satisfy sum(u_k) = 1 and never depend on sigma2.
 
 All coefficient engines run in O(K) by multiplicative recursion, except the
 LM moving-average weights, which come from O(K log K) Newton series
-inversion; results are cached per (family, gamma, K) and returned read-only.
+inversion.  Every table is returned read-only.  Only true-model quantities,
+which every replication of a campaign reuses, are cached: the MA weights
+and the autocovariances.  AR weights and their derivatives change with
+every optimizer iterate, so they are recomputed on each call.
 
 Autocovariances of FARIMA10 and LM are FFT convolutions of the MA weights
 plus the i^(d-1) coefficient tail, integrated for all lags at once by one
@@ -147,7 +150,6 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@lru_cache(maxsize=512)
 def _frac_diff_coeffs(d: float, K: int) -> np.ndarray:
     """Power-series coefficients of (1 - z)^d, indices 0..K."""
     pi = np.empty(K + 1)
@@ -155,10 +157,9 @@ def _frac_diff_coeffs(d: float, K: int) -> np.ndarray:
     if K >= 1:
         i = np.arange(1.0, K + 1)
         pi[1:] = np.cumprod((i - 1.0 - d) / i)
-    return _readonly(pi)
+    return pi
 
 
-@lru_cache(maxsize=512)
 def _frac_int_coeffs(d: float, K: int) -> np.ndarray:
     """Power-series coefficients of (1 - z)^(-d), indices 0..K."""
     psi = np.empty(K + 1)
@@ -166,7 +167,7 @@ def _frac_int_coeffs(d: float, K: int) -> np.ndarray:
     if K >= 1:
         i = np.arange(1.0, K + 1)
         psi[1:] = np.cumprod((i - 1.0 + d) / i)
-    return _readonly(psi)
+    return psi
 
 
 def _check_gamma(family: Family, gamma: tuple[float, ...]) -> None:
@@ -183,7 +184,6 @@ def _check_gamma(family: Family, gamma: tuple[float, ...]) -> None:
         raise ValueError(f"alpha must lie in (-1, 1), got {gamma[1]}")
 
 
-@lru_cache(maxsize=512)
 def _ar_coeffs_gamma(family: Family, gamma: tuple[float, ...], K: int) -> np.ndarray:
     _check_gamma(family, gamma)
     d = gamma[0]
@@ -193,11 +193,9 @@ def _ar_coeffs_gamma(family: Family, gamma: tuple[float, ...], K: int) -> np.nda
     elif family is Family.FARIMA00:
         u = -_frac_diff_coeffs(d, K)[1:]
     else:  # FARIMA10: AR polynomial (1 - z)^d (1 - alpha z)
-        alpha = gamma[1]
         pi = _frac_diff_coeffs(d, K)
-        full = pi.copy()
-        full[1:] -= alpha * pi[:-1]
-        u = -full[1:]
+        pi[1:] -= gamma[1] * pi[:-1]
+        u = -pi[1:]
     return _readonly(u)
 
 
@@ -206,7 +204,7 @@ def _ma_coeffs_gamma(family: Family, gamma: tuple[float, ...], K: int) -> np.nda
     _check_gamma(family, gamma)
     d = gamma[0]
     if family is Family.FARIMA00:
-        a = _frac_int_coeffs(d, K).copy()
+        a = _frac_int_coeffs(d, K)
     elif family is Family.FARIMA10:
         psi = _frac_int_coeffs(d, K)
         a = lfilter([1.0], [1.0, -gamma[1]], psi)
@@ -236,7 +234,6 @@ def ar_coeffs(spec: ModelSpec, K: int) -> np.ndarray:
 _FD_STEP = 1e-5
 
 
-@lru_cache(maxsize=256)
 def _dar_coeffs_gamma(family: Family, gamma: tuple[float, ...], K: int) -> np.ndarray:
     _check_gamma(family, gamma)
     if family is Family.LM:

@@ -2,16 +2,16 @@
 
 A campaign is a grid of (parameter cell) x (trajectory length) x
 (replication).  Replication r of cell c at length n always uses the seed
-stream derived from (base_seed, c, n_index, r), so the report is identical
-for any worker count.  Failed fits (non-convergence or a boundary-pinned
-gamma) are excluded from the aggregates and counted.
+stream derived from (base_seed, c, n_index, r), so the report depends on
+the config alone.  Replications run serially (a thread pool ran slower on
+two cores).  Failed fits (non-convergence or a boundary-pinned gamma) are
+excluded from the aggregates and counted.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from io import StringIO
 
@@ -176,8 +176,8 @@ def _null_nan(value):
     return None if isinstance(value, float) and np.isnan(value) else value
 
 
-def _run_block(config, spec, n, n_index, cell_index, reps, estimates):
-    for r in reps:
+def _run_replications(config, spec, n, n_index, cell_index, estimates):
+    for r in range(config.replications):
         gen = GenConfig(
             generator=config.generator,
             seed=derive_seed(config.base_seed, cell_index, n_index, r),
@@ -199,7 +199,7 @@ def _run_block(config, spec, n, n_index, cell_index, reps, estimates):
 
 
 def run_mc(config: MCConfig, workers: int = 1) -> MCReport:
-    """Run the campaign; deterministic for a given config, any worker count."""
+    """Run the campaign; ``workers`` is accepted for compatibility and ignored."""
     coord_names = GAMMA_NAMES[config.family] + ("sigma2",)
     p = len(coord_names)
     R = config.replications
@@ -211,21 +211,7 @@ def run_mc(config: MCConfig, workers: int = 1) -> MCReport:
         theta_star = np.array(list(cell.gamma) + [cell.sigma2])
         for n_index, n in enumerate(config.n_grid):
             estimates = {est: np.full((R, p), np.nan) for est in config.estimators}
-            blocks = np.array_split(np.arange(R), max(1, min(4 * workers, R)))
-            if workers > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    futures = [
-                        pool.submit(
-                            _run_block, config, spec, n, n_index, cell_index, block, estimates
-                        )
-                        for block in blocks
-                        if block.size
-                    ]
-                    for fut in futures:
-                        fut.result()
-            else:
-                for block in blocks:
-                    _run_block(config, spec, n, n_index, cell_index, block, estimates)
+            _run_replications(config, spec, n, n_index, cell_index, estimates)
 
             for est in config.estimators:
                 table = estimates[est]

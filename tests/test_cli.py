@@ -316,6 +316,28 @@ def test_cli_unwritable_out_exits_with_message(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+def test_cli_mc_checks_out_before_the_campaign(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def failing_run_mc(config, workers=1):
+        calls.append(config)
+        raise ValueError("campaign stopped")
+
+    monkeypatch.setattr(importlib.import_module("longmem.cli"), "run_mc", failing_run_mc)
+    config = _write_mc_config(tmp_path / "mc.json", replications=2)
+    out = tmp_path / "missing" / "r.json"
+    assert run_cli("mc", "--config", str(config), "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
+    assert calls == []
+
+    # a writable path reaches the campaign, and an existing file keeps its content
+    existing = tmp_path / "old.json"
+    existing.write_text("old report\n")
+    assert run_cli("mc", "--config", str(config), "--out", str(existing)) == 1
+    assert len(calls) == 1
+    assert existing.read_text() == "old report\n"
+
+
 def test_cli_simulate_stdout(capsys):
     assert run_cli("simulate", "--n", "5", "--d", "0.2", "--seed", "3") == 0
     out = capsys.readouterr().out.strip().splitlines()

@@ -17,6 +17,7 @@ from longmem.estimate import (
     qmle_objective,
     quasi_loglik,
     spectral_density,
+    standard_errors,
     truncated_predictor,
 )
 from longmem.models import ModelSpec, ar_coeffs, autocovariance, ma_coeffs
@@ -197,6 +198,13 @@ def test_fit_qmle_stderr():
     assert se_s2 == pytest.approx(math.sqrt(2.0 * fit.sigma2_hat**2 / 2000), rel=1e-9)
 
 
+def test_standard_errors_out_of_domain_logs_reason(caplog):
+    with caplog.at_level("WARNING", logger="longmem.estimate"):
+        assert standard_errors("farima00", (0.6,), 1.0, 1000) is None
+    assert len(caplog.records) == 1
+    assert "d must lie strictly in (0, 1/2), got 0.6" in caplog.records[0].getMessage()
+
+
 def test_gradient_matches_finite_difference():
     series = sim("farima00", (0.3,), 1.0, 400, seed=61)
     h = 1e-6
@@ -273,20 +281,21 @@ def test_spectral_density_low_frequency_expansion():
 def test_spectral_density_lm_polylog_oracle():
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 30
-    d = 0.25
-    spec = spec_of("lm", d, sigma2=4.0)
-    from longmem.specfun import riemann_zeta
-
-    z = riemann_zeta(1.0 + d)
-    for lam in (0.1, 0.5, 1.0, 2.0, 3.0):
-        transfer = 1.0 - complex(mp.polylog(1.0 + d, mp.exp(-1j * lam))) / z
-        oracle = 4.0 / (2.0 * math.pi) * abs(transfer) ** -2
-        assert spectral_density(spec, lam) == pytest.approx(oracle, rel=1e-4)
+    for d in (0.011, 0.25, 0.489):
+        spec = spec_of("lm", d, sigma2=4.0)
+        s = 1.0 + d
+        # from the lowest Fourier frequency at n = 1000 up to pi
+        for lam in (2.0 * math.pi / 1000, 0.1, 1.0, 3.0, math.pi):
+            transfer = 1.0 - mp.polylog(s, mp.exp(-1j * mp.mpf(lam))) / mp.zeta(s)
+            oracle = 4.0 / (2.0 * math.pi) * float(abs(transfer)) ** -2
+            assert spectral_density(spec, lam) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_spectral_density_rejects_zero():
-    with pytest.raises(ValueError):
-        spectral_density(spec_of("farima00", 0.2), 0.0)
+    for family in ("farima00", "lm"):
+        for lam in (0.0, -0.1, math.pi + 1e-9, [0.5, 4.0]):
+            with pytest.raises(ValueError):
+                spectral_density(spec_of(family, 0.2), lam)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +322,8 @@ def test_whittle_lm_family():
     fit = fit_whittle(series, "lm")
     assert fit.converged
     assert abs(fit.gamma_hat[0] - 0.3) < 0.1
+    with pytest.raises(ValueError, match="d in \\(0, 1\\)"):
+        fit_whittle(series, "lm", bounds=((-0.3, -0.1),))
 
 
 @pytest.fixture(scope="module")
