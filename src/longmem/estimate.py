@@ -12,8 +12,10 @@
 * BLUE location estimator with Toeplitz weights, plus the asymptotic
   covariance of the QMLE (matrix M and the sigma2 block) and helper scales.
 
-Scalar gamma is optimized by bounded golden-section/parabolic bracketing,
-two-dimensional gamma by Nelder-Mead restarted from a deterministic grid.
+Every fit is one bounded golden-section/parabolic search over d.  For
+FARIMA10 the contrast at each d is minimized over alpha first: in closed form
+for the QMLE, whose S_n is quadratic in alpha, and by an inner bounded search
+for Whittle.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 from scipy.linalg import solve_toeplitz
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import minimize_scalar
 from scipy.signal import fftconvolve
 from scipy.special import gamma as gamma_fn, zeta
 
@@ -70,7 +72,6 @@ __all__ = [
 # margin keeping optimizer iterates strictly inside the compact domain
 _BOUND_MARGIN = 1e-3
 _XATOL_1D = 1e-6
-_TOL_2D = 1e-7
 _PINNED_TOL = 2e-6
 # terms of the LM polylogarithm series; each is at most half the previous one
 _LM_SERIES_TERMS = 50
@@ -91,8 +92,8 @@ class FitResult:
     gamma_hat: tuple[float, ...]
     sigma2_hat: float
     objective: float
-    # objective evaluations (nfev), not optimizer iterations; for 2-D gamma
-    # the grid pre-screen and every Nelder-Mead restart are included
+    # objective evaluations (nfev), not optimizer iterations; a FARIMA10
+    # Whittle fit counts every evaluation of its inner search over alpha
     iterations: int
     converged: bool
     boundary_pinned: bool = False
@@ -189,42 +190,27 @@ def _pinned(gamma: tuple[float, ...], bounds) -> bool:
     )
 
 
-def _minimize_gamma(objective, family: Family, bounds) -> tuple[tuple[float, ...], float, int, bool]:
-    """Shared optimizer policy for both contrasts."""
-    if len(bounds) == 1:
-        (lo, hi) = bounds[0]
-        res = minimize_scalar(
-            lambda g: objective((g,)),
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": _XATOL_1D},
-        )
-        return (float(res.x),), float(res.fun), int(res.nfev), bool(res.success)
+def _bounded_search(fun, bounds):
+    return minimize_scalar(fun, bounds=bounds, method="bounded", options={"xatol": _XATOL_1D})
 
-    # 2-D: deterministic restart grid, pre-screened to the 5 best corners
-    (d_lo, d_hi), (a_lo, a_hi) = bounds
-    seeds = [
-        (min(max(d, d_lo), d_hi), min(max(a, a_lo), a_hi))
-        for d in (0.1, 0.25, 0.4)
-        for a in (-0.5, 0.0, 0.5, 0.9)
-    ]
-    seeds = sorted(set(seeds), key=lambda g: objective(g))[:5]
-    best = None
-    nfev = 12
-    for g0 in seeds:
-        res = minimize(
-            lambda g: objective(tuple(g)),
-            x0=np.asarray(g0),
-            method="Nelder-Mead",
-            bounds=bounds,
-            options={"xatol": _TOL_2D, "fatol": _TOL_2D, "maxiter": 2000},
-        )
-        nfev += int(res.nfev)
-        if best is None or res.fun < best.fun:
-            best = res
-    gamma = tuple(float(v) for v in best.x)
-    # converged reports how the winning restart ended, not whether any did
-    return gamma, float(best.fun), nfev, bool(best.success)
+
+def _minimize_gamma(contrast, bounds) -> tuple[tuple[float, ...], float, int, bool]:
+    """Bounded golden-section/parabolic search over d, shared by every family
+    and both contrasts.  contrast(d) returns (value, gamma, nfev, ok): gamma
+    is (d,), or (d, alpha) with the alpha that minimizes the contrast at that
+    d; nfev counts the contrast evaluations behind it and ok says whether
+    that minimization over alpha succeeded.  The fit converged when the search
+    over d and the minimization at d_hat both did."""
+    evals = []
+
+    def value(d):
+        evals.append((d, contrast(float(d))))
+        return evals[-1][1][0]
+
+    res = _bounded_search(value, bounds[0])
+    s_min, gamma, _, ok = next(e for d, e in evals if d == res.x)
+    nfev = sum(e[2] for _, e in evals)
+    return gamma, s_min, nfev, bool(res.success) and ok
 
 
 def fit_qmle(
@@ -248,8 +234,20 @@ def fit_qmle(
     if n < 30:
         warnings.warn(f"n={n} is small; QMLE asymptotics are unreliable", stacklevel=2)
     opt_bounds = _fit_bounds(family, bounds)
-    objective = lambda g: qmle_objective(series, family, g)
-    gamma_hat, s_min, nfev, ok = _minimize_gamma(objective, family, opt_bounds)
+
+    def contrast(d):
+        if family is not Family.FARIMA10:
+            return qmle_objective(series, family, (d,)), (d,), 1, True
+        # the residual of (1 - z)^d (1 - alpha z) is w_t - alpha w_(t-1), with
+        # w the FARIMA00 residual and w_0 = 0: S_n is quadratic in alpha
+        w = series.values - predictors(series.values, Family.FARIMA00, (d,))
+        ss = float(np.dot(w[:-1], w[:-1]))
+        alpha = float(np.dot(w[1:], w[:-1])) / ss if ss > 0.0 else 0.0
+        alpha = min(max(alpha, opt_bounds[1][0]), opt_bounds[1][1])
+        resid = np.concatenate([w[:1], w[1:] - alpha * w[:-1]])
+        return float(np.dot(resid, resid)), (d, alpha), 1, True
+
+    gamma_hat, s_min, nfev, ok = _minimize_gamma(contrast, opt_bounds)
     sigma2_hat = s_min / n
     result = FitResult(
         estimator="qmle",
@@ -381,7 +379,14 @@ def fit_whittle(
         return m * math.log(s2) + float(np.sum(np.log(h)))
 
     opt_bounds = _fit_bounds(family, bounds)
-    gamma_hat, _, nfev, ok = _minimize_gamma(profiled, family, opt_bounds)
+
+    def contrast(d):
+        if family is not Family.FARIMA10:
+            return profiled((d,)), (d,), 1, True
+        res = _bounded_search(lambda a: profiled((d, a)), opt_bounds[1])
+        return float(res.fun), (d, float(res.x)), int(res.nfev), bool(res.success)
+
+    gamma_hat, _, nfev, ok = _minimize_gamma(contrast, opt_bounds)
     h_hat = _spectral_shape(family, gamma_hat, lam)
     sigma2_hat = (2.0 * math.pi / m) * float(np.sum(pgram / h_hat))
     f_hat = sigma2_hat * h_hat / (2.0 * math.pi)

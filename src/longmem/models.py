@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.signal import convolve, fftconvolve, lfilter
-from scipy.special import roots_sh_jacobi
+from scipy.special import roots_sh_jacobi, zeta
 
 from .specfun import log_gamma, riemann_zeta
 
@@ -160,16 +160,6 @@ def _frac_diff_coeffs(d: float, K: int) -> np.ndarray:
     return pi
 
 
-def _frac_int_coeffs(d: float, K: int) -> np.ndarray:
-    """Power-series coefficients of (1 - z)^(-d), indices 0..K."""
-    psi = np.empty(K + 1)
-    psi[0] = 1.0
-    if K >= 1:
-        i = np.arange(1.0, K + 1)
-        psi[1:] = np.cumprod((i - 1.0 + d) / i)
-    return psi
-
-
 def _check_gamma(family: Family, gamma: tuple[float, ...]) -> None:
     # relaxed domain: estimation may evaluate candidates outside (0, 1/2);
     # fractional-differencing weights are valid on (-1/2, 1), the LM weights
@@ -189,7 +179,7 @@ def _ar_coeffs_gamma(family: Family, gamma: tuple[float, ...], K: int) -> np.nda
     d = gamma[0]
     if family is Family.LM:
         k = np.arange(1.0, K + 1)
-        u = k ** (-1.0 - d) / riemann_zeta(1.0 + d)
+        u = k ** (-1.0 - d) / zeta(1.0 + d)
     elif family is Family.FARIMA00:
         u = -_frac_diff_coeffs(d, K)[1:]
     else:  # FARIMA10: AR polynomial (1 - z)^d (1 - alpha z)
@@ -204,9 +194,9 @@ def _ma_coeffs_gamma(family: Family, gamma: tuple[float, ...], K: int) -> np.nda
     _check_gamma(family, gamma)
     d = gamma[0]
     if family is Family.FARIMA00:
-        a = _frac_int_coeffs(d, K)
+        a = _frac_diff_coeffs(-d, K)
     elif family is Family.FARIMA10:
-        psi = _frac_int_coeffs(d, K)
+        psi = _frac_diff_coeffs(-d, K)
         a = lfilter([1.0], [1.0, -gamma[1]], psi)
     else:  # LM: invert the AR polynomial
         u = _ar_coeffs_gamma(family, gamma, K)
@@ -231,37 +221,35 @@ def ar_coeffs(spec: ModelSpec, K: int) -> np.ndarray:
     return _ar_coeffs_gamma(Family(spec.family), spec.gamma, int(K))
 
 
-_FD_STEP = 1e-5
-
-
 def _dar_coeffs_gamma(family: Family, gamma: tuple[float, ...], K: int) -> np.ndarray:
     _check_gamma(family, gamma)
+    d = gamma[0]
     if family is Family.LM:
-        d = gamma[0]
-        z = riemann_zeta(1.0 + d)
+        z = zeta(1.0 + d)
         zp = riemann_zeta(1.0 + d, order=1)
         n = np.arange(1.0, K + 1)
         du = -(n ** (-1.0 - d)) / z**2 * (z * np.log(n) + zp)
         return _readonly(du[np.newaxis, :])
-    # FARIMA families: central finite differences coordinate by coordinate
-    out = np.empty((len(gamma), K))
-    for j in range(len(gamma)):
-        g_plus = list(gamma)
-        g_minus = list(gamma)
-        g_plus[j] += _FD_STEP
-        g_minus[j] -= _FD_STEP
-        up = _ar_coeffs_gamma(family, tuple(g_plus), K)
-        um = _ar_coeffs_gamma(family, tuple(g_minus), K)
-        out[j] = (up - um) / (2.0 * _FD_STEP)
-    return _readonly(out)
+    # pi_i = -d q_i with q_1 = 1, q_i = q_(i-1) (i-1-d)/i, so FARIMA00's
+    # du_i/dd = -dpi_i/dd = q_i (1 - d sum_(j=2..i) 1/(j-1-d)), finite at d = 0
+    i = np.arange(1.0, K)
+    q = np.cumprod(np.r_[1.0, (i - d) / (i + 1.0)])
+    du = q * (1.0 - d * np.cumsum(np.r_[0.0, 1.0 / (i - d)]))
+    if family is Family.FARIMA00:
+        return _readonly(du[np.newaxis, :K])
+    # FARIMA10: u_i = -(pi_i - alpha pi_(i-1)), with pi_0 = 1
+    ddu = du[:K] - gamma[1] * np.r_[0.0, du[: K - 1]]
+    return _readonly(np.array([ddu, np.r_[1.0, -d * q][:K]]))
 
 
 def dar_coeffs(spec: ModelSpec, K: int) -> np.ndarray:
     """Derivatives of the AR weights in gamma, shape (len(gamma), K).
 
-    LM uses the analytic form
-    du_n/dd = -n^(-1-d) zeta(1+d)^(-2) (zeta(1+d) log n + zeta'(1+d));
-    the FARIMA families use central finite differences with step 1e-5.
+    Every family is exact.  LM:
+    du_n/dd = -n^(-1-d) zeta(1+d)^(-2) (zeta(1+d) log n + zeta'(1+d)).
+    FARIMA: with pi_i = -d q_i the coefficients of (1 - z)^d,
+    dpi_i/dd = -q_i (1 - d sum_(j=2..i) 1/(j-1-d)), which is finite at d = 0;
+    FARIMA10 adds du_i/dalpha = pi_(i-1).
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")

@@ -11,6 +11,7 @@ from longmem.estimate import (
     blue_weights,
     fit_qmle,
     fit_whittle,
+    fourier_frequencies,
     mean_clt_scale,
     periodogram,
     qmle_gradient,
@@ -163,30 +164,82 @@ def test_fit_qmle_farima10_two_dimensional():
     assert abs(fit.gamma_hat[1] - 0.5) < 0.15
 
 
-def test_fit_2d_converged_follows_winning_restart(monkeypatch):
-    from scipy.optimize import OptimizeResult
-
+@pytest.mark.parametrize(
+    "fit,failing", [(fit_qmle, "d"), (fit_whittle, "d"), (fit_whittle, "alpha")]
+)
+def test_fit_farima10_converged_follows_scalar_search(monkeypatch, fit, failing):
     import longmem.estimate as estimate
 
-    calls = []
+    real = estimate.minimize_scalar
+    d_bounds, alpha_bounds = estimate._fit_bounds("farima10", None)
 
-    def fake_minimize(fun, x0, **kwargs):
-        # the second restart wins without converging; every loser converges
-        calls.append(x0)
-        winner = len(calls) == 2
-        return OptimizeResult(
-            x=np.array([0.3, 0.1]) if winner else np.asarray(x0, dtype=float),
-            fun=1.0 if winner else 10.0 + len(calls),
-            nfev=7,
-            success=not winner,
+    def failing_search(fun, bounds, **kwargs):
+        # the same search, reported as failed on the chosen coordinate only
+        res = real(fun, bounds=bounds, **kwargs)
+        if tuple(bounds) == {"d": d_bounds, "alpha": alpha_bounds}[failing]:
+            res.success = False
+        return res
+
+    series = sim("farima10", (0.2, 0.5), 1.0, 500, seed=53)
+    assert fit(series, "farima10").converged
+    monkeypatch.setattr(estimate, "minimize_scalar", failing_search)
+    assert not fit(series, "farima10").converged
+
+
+def test_fit_whittle_farima10_two_dimensional():
+    series = sim("farima10", (0.2, 0.5), 4.0, 2000, seed=53)
+    fit = fit_whittle(series, "farima10")
+    assert fit.converged and not fit.boundary_pinned
+    assert abs(fit.gamma_hat[0] - 0.2) < 0.15
+    assert abs(fit.gamma_hat[1] - 0.5) < 0.15
+    assert abs(fit.sigma2_hat - 4.0) < 0.5
+    # every evaluation of the inner search over alpha is counted
+    assert fit.iterations > 20
+
+
+def _whittle_profiled(series, gamma):
+    pgram = periodogram(series)
+    h = spectral_density(spec_of("farima10", *gamma, sigma2=2.0 * math.pi), fourier_frequencies(series.n))
+    return pgram.size * math.log(2.0 * math.pi * np.mean(pgram / h)) + np.sum(np.log(h))
+
+
+@pytest.mark.parametrize("seed", [3, 5, 8])
+def test_fit_farima10_reaches_two_dimensional_minimum(seed):
+    from scipy.optimize import minimize
+
+    gamma = (0.25, 0.4)
+    series = sim("farima10", gamma, 1.0, 1000, seed=seed)
+    bounds = ((0.011, 0.489), (-0.989, 0.989))
+    for fit, contrast in [
+        (fit_qmle, lambda g: qmle_objective(series, "farima10", g)),
+        (fit_whittle, lambda g: _whittle_profiled(series, g)),
+    ]:
+        ref = minimize(
+            lambda g: contrast(tuple(g)),
+            x0=np.asarray(gamma),
+            method="Nelder-Mead",
+            bounds=bounds,
+            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 5000},
         )
+        assert ref.success
+        value = contrast(fit(series, "farima10").gamma_hat)
+        assert value == pytest.approx(ref.fun, rel=1e-9)
 
-    monkeypatch.setattr(estimate, "minimize", fake_minimize)
-    fit = fit_qmle(sim("farima10", (0.2, 0.5), 1.0, 200, seed=53), "farima10")
-    assert len(calls) == 5
-    assert fit.gamma_hat == (0.3, 0.1)
-    assert fit.objective == 1.0
-    assert not fit.converged
+
+def test_fit_qmle_farima10_profile_is_the_objective():
+    series = sim("farima10", (0.3, -0.6), 2.0, 800, seed=61)
+    fit = fit_qmle(series, "farima10")
+    direct = qmle_objective(series, "farima10", fit.gamma_hat)
+    assert fit.objective == pytest.approx(direct, rel=1e-12)
+    assert fit.sigma2_hat == pytest.approx(direct / 800, rel=1e-12)
+
+
+def test_fit_qmle_farima10_all_zero_series():
+    # e.g. a detrended, exactly linear input: the alpha profile has no data
+    fit = fit_qmle(Series(values=np.zeros(200)), "farima10")
+    assert fit.objective == 0.0
+    assert np.all(np.isfinite(fit.gamma_hat))
+    assert fit.gamma_hat[1] == 0.0
 
 
 def test_fit_qmle_stderr():
@@ -215,6 +268,21 @@ def test_gradient_matches_finite_difference():
             - qmle_objective(series, family, (gamma[0] - h,))
         ) / (2 * h)
         assert abs(grad[0] - fd) <= 1e-5 * max(1.0, abs(fd))
+
+
+def test_gradient_farima10_at_zero_memory():
+    # d = 0 lies inside the criterion-6 bounds; the exact derivative has no 1/d
+    series = sim("farima10", (0.1, 0.5), 1.0, 400, seed=67)
+    gamma, h = (0.0, 0.5), 1e-6
+    grad = qmle_gradient(series, "farima10", gamma)
+    assert grad.shape == (2,) and np.all(np.isfinite(grad))
+    for j in range(2):
+        step = np.eye(2)[j] * h
+        fd = (
+            qmle_objective(series, "farima10", tuple(np.add(gamma, step)))
+            - qmle_objective(series, "farima10", tuple(np.subtract(gamma, step)))
+        ) / (2 * h)
+        assert abs(grad[j] - fd) <= 1e-5 * max(1.0, abs(fd))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from longmem.models import (
 from longmem.models import (
     _asymptote_fit,
     _autocov_by_convolution,
+    _dar_coeffs_gamma,
     _ma_coeffs_gamma,
     _tail_corrections,
 )
@@ -188,6 +189,26 @@ def test_dar_matches_finite_difference_grid(family, gamma):
         gm[j] -= h
         fd = (ar_coeffs(spec_of(family, *gp), 50) - ar_coeffs(spec_of(family, *gm), 50)) / (2 * h)
         assert np.allclose(du[j], fd, atol=2e-5)
+
+
+@pytest.mark.parametrize("alpha", [None, 0.5, -0.9])
+@pytest.mark.parametrize("d", [-0.249, 0.0, 0.3, 0.749])
+def test_dar_farima_matches_complex_step(d, alpha):
+    K, h = 2000, 1e-30
+    gamma = (d,) if alpha is None else (d, alpha)
+    family = Family.FARIMA00 if alpha is None else Family.FARIMA10
+    du = _dar_coeffs_gamma(family, gamma, K)
+    i = np.arange(1.0, K + 1)
+    for j in range(len(gamma)):
+        # u = -(coefficients of (1 - z)^d (1 - alpha z))[1:], in complex arithmetic
+        g = [complex(v) for v in gamma]
+        g[j] += 1j * h
+        pi = np.concatenate([[1.0 + 0j], np.cumprod((i - 1.0 - g[0]) / i)])
+        if alpha is not None:
+            pi[1:] = pi[1:] - g[1] * pi[:-1]
+        ref = -pi[1:].imag / h
+        # the derivative in d changes sign once, so scale the absolute floor
+        np.testing.assert_allclose(du[j], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
 # ---------------------------------------------------------------------------
