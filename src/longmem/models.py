@@ -42,7 +42,9 @@ __all__ = [
     "CoeffTable",
     "ma_coeffs",
     "ar_coeffs",
+    "ar_coeffs_gamma",
     "dar_coeffs",
+    "dar_coeffs_gamma",
     "invert_series",
     "autocovariance",
     "coeff_table",
@@ -160,7 +162,12 @@ def _frac_diff_coeffs(d: float, K: int) -> np.ndarray:
     return pi
 
 
-def _check_gamma(family: Family, gamma: tuple[float, ...]) -> None:
+def _checked(family, gamma, K: int) -> tuple[Family, tuple[float, ...], int]:
+    family, gamma, K = Family(family), tuple(float(g) for g in gamma), int(K)
+    if len(gamma) != len(GAMMA_NAMES[family]):
+        raise ValueError(f"{family.value} expects gamma of length {len(GAMMA_NAMES[family])}")
+    if K < 0:
+        raise ValueError(f"K must be >= 0, got {K}")
     # relaxed domain: estimation may evaluate candidates outside (0, 1/2);
     # fractional-differencing weights are valid on (-1/2, 1), the LM weights
     # need 1 + d > 1
@@ -172,10 +179,17 @@ def _check_gamma(family: Family, gamma: tuple[float, ...]) -> None:
         raise ValueError(f"coefficient engines require d in (-1/2, 1), got {d}")
     if family is Family.FARIMA10 and not -1.0 < gamma[1] < 1.0:
         raise ValueError(f"alpha must lie in (-1, 1), got {gamma[1]}")
+    return family, gamma, K
 
 
-def _ar_coeffs_gamma(family: Family, gamma: tuple[float, ...], K: int) -> np.ndarray:
-    _check_gamma(family, gamma)
+def ar_coeffs_gamma(family: Family, gamma, K: int) -> np.ndarray:
+    """AR(inf) weights u_1..u_K at any gamma the estimators may try (K >= 0).
+
+    The domain is relaxed against ModelSpec: d in (-1/2, 1) for the FARIMA
+    families and (0, 1) for LM, so fits may evaluate iterates outside
+    (0, 1/2).  ar_coeffs is the ModelSpec form.
+    """
+    family, gamma, K = _checked(family, gamma, K)
     d = gamma[0]
     if family is Family.LM:
         k = np.arange(1.0, K + 1)
@@ -191,7 +205,7 @@ def _ar_coeffs_gamma(family: Family, gamma: tuple[float, ...], K: int) -> np.nda
 
 @lru_cache(maxsize=512)
 def _ma_coeffs_gamma(family: Family, gamma: tuple[float, ...], K: int) -> np.ndarray:
-    _check_gamma(family, gamma)
+    family, gamma, K = _checked(family, gamma, K)
     d = gamma[0]
     if family is Family.FARIMA00:
         a = _frac_diff_coeffs(-d, K)
@@ -199,7 +213,7 @@ def _ma_coeffs_gamma(family: Family, gamma: tuple[float, ...], K: int) -> np.nda
         psi = _frac_diff_coeffs(-d, K)
         a = lfilter([1.0], [1.0, -gamma[1]], psi)
     else:  # LM: invert the AR polynomial
-        u = _ar_coeffs_gamma(family, gamma, K)
+        u = ar_coeffs_gamma(family, gamma, K)
         c = np.empty(K + 1)
         c[0] = 1.0
         c[1:] = -u
@@ -218,11 +232,20 @@ def ar_coeffs(spec: ModelSpec, K: int) -> np.ndarray:
     """AR(inf) weights u_1..u_K; u[k-1] multiplies X_{t-k}."""
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    return _ar_coeffs_gamma(Family(spec.family), spec.gamma, int(K))
+    return ar_coeffs_gamma(spec.family, spec.gamma, K)
 
 
-def _dar_coeffs_gamma(family: Family, gamma: tuple[float, ...], K: int) -> np.ndarray:
-    _check_gamma(family, gamma)
+def dar_coeffs_gamma(family: Family, gamma, K: int) -> np.ndarray:
+    """Derivatives of the AR weights in gamma, shape (len(gamma), K), at any
+    gamma in the relaxed domain of ar_coeffs_gamma (K >= 0).
+
+    Every family is exact.  LM:
+    du_n/dd = -n^(-1-d) zeta(1+d)^(-2) (zeta(1+d) log n + zeta'(1+d)).
+    FARIMA: with pi_i = -d q_i the coefficients of (1 - z)^d,
+    dpi_i/dd = -q_i (1 - d sum_(j=2..i) 1/(j-1-d)), which is finite at d = 0;
+    FARIMA10 adds du_i/dalpha = pi_(i-1).  dar_coeffs is the ModelSpec form.
+    """
+    family, gamma, K = _checked(family, gamma, K)
     d = gamma[0]
     if family is Family.LM:
         z = zeta(1.0 + d)
@@ -243,17 +266,11 @@ def _dar_coeffs_gamma(family: Family, gamma: tuple[float, ...], K: int) -> np.nd
 
 
 def dar_coeffs(spec: ModelSpec, K: int) -> np.ndarray:
-    """Derivatives of the AR weights in gamma, shape (len(gamma), K).
-
-    Every family is exact.  LM:
-    du_n/dd = -n^(-1-d) zeta(1+d)^(-2) (zeta(1+d) log n + zeta'(1+d)).
-    FARIMA: with pi_i = -d q_i the coefficients of (1 - z)^d,
-    dpi_i/dd = -q_i (1 - d sum_(j=2..i) 1/(j-1-d)), which is finite at d = 0;
-    FARIMA10 adds du_i/dalpha = pi_(i-1).
-    """
+    """Derivatives of the AR weights in gamma, shape (len(gamma), K); see
+    dar_coeffs_gamma."""
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    return _dar_coeffs_gamma(Family(spec.family), spec.gamma, int(K))
+    return dar_coeffs_gamma(spec.family, spec.gamma, K)
 
 
 def invert_series(c) -> np.ndarray:

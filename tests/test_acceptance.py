@@ -180,7 +180,7 @@ def test_criterion_8_theorem2_asymptotics(table1_cell_run):
     raw = table1_cell_run.raw[(0, 1000, "qmle")]
     d_hats = raw[~np.isnan(raw[:, 0]), 0]
     nvar = 1000 * np.var(d_hats, ddof=1)
-    info = asymptotic_covariance(spec, K=20_000)
+    info = asymptotic_covariance(spec)
     target = 1.0 / info.M[0, 0]
     mc_gap = abs(nvar - target) / target
 

@@ -109,6 +109,14 @@ def test_cli_fit_whittle_estimator(tmp_path):
     assert json.loads(out.read_text())["estimator"] == "whittle"
 
 
+def test_cli_fit_whittle_constant_series_exits_with_message(tmp_path, capsys):
+    data = tmp_path / "const.csv"
+    data.write_text("2.5\n" * 200)
+    assert run_cli("fit", str(data), "--estimator", "whittle") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "periodogram is zero" in err
+
+
 # ---------------------------------------------------------------------------
 # blue
 # ---------------------------------------------------------------------------

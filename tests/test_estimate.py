@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.signal import fftconvolve
 
 from longmem.estimate import (
     asymptotic_covariance,
@@ -21,7 +22,7 @@ from longmem.estimate import (
     standard_errors,
     truncated_predictor,
 )
-from longmem.models import ModelSpec, ar_coeffs, autocovariance, ma_coeffs
+from longmem.models import ModelSpec, ar_coeffs, autocovariance, dar_coeffs, ma_coeffs
 from longmem.simulate import GenConfig, Series, simulate, white_noise
 
 
@@ -394,6 +395,13 @@ def test_whittle_lm_family():
         fit_whittle(series, "lm", bounds=((-0.3, -0.1),))
 
 
+@pytest.mark.parametrize("family", ["farima00", "farima10", "lm"])
+def test_whittle_constant_series_says_periodogram_is_zero(family):
+    series = Series(values=np.full(200, 2.5))
+    with pytest.raises(ValueError, match="periodogram is zero"):
+        fit_whittle(series, family)
+
+
 @pytest.fixture(scope="module")
 def qmle_whittle_pairs():
     # common paths, both estimators, at two sample sizes
@@ -444,7 +452,7 @@ def whittle_information_quadrature(spec, h=1e-5):
 @pytest.mark.parametrize("d,sigma2", [(0.2, 4.0), (0.35, 1.0)])
 def test_asymptotic_covariance_matches_whittle_information(d, sigma2):
     spec = spec_of("farima00", d, sigma2=sigma2)
-    info = asymptotic_covariance(spec, K=20_000)
+    info = asymptotic_covariance(spec)
     oracle = whittle_information_quadrature(spec)
     assert info.M[0, 0] == pytest.approx(oracle, rel=1e-2)
 
@@ -457,14 +465,115 @@ def test_asymptotic_covariance_sigma2_block():
 
 def test_asymptotic_covariance_positive_definite_catalogue():
     for family, gamma in [("farima00", (0.1,)), ("farima10", (0.3, 0.5)), ("lm", (0.4,))]:
-        info = asymptotic_covariance(spec_of(family, *gamma, sigma2=4.0), K=2000)
+        info = asymptotic_covariance(spec_of(family, *gamma, sigma2=4.0))
         eigvals = np.linalg.eigvalsh(info.M)
         assert np.all(eigvals > 0)
 
 
-def test_asymptotic_covariance_rejects_small_K():
-    with pytest.raises(ValueError):
-        asymptotic_covariance(spec_of("farima00", 0.2), K=10)
+def test_asymptotic_covariance_farima_closed_forms():
+    assert asymptotic_covariance(spec_of("farima00", 0.3)).M[0, 0] == pytest.approx(
+        math.pi**2 / 6.0, rel=1e-14
+    )
+    for d, alpha in [(0.2, 0.5), (0.3, -0.7), (0.4, 0.9)]:
+        M = asymptotic_covariance(spec_of("farima10", d, alpha)).M
+        cross = -math.log(1.0 - alpha) / alpha
+        expected = [[math.pi**2 / 6.0, cross], [cross, 1.0 / (1.0 - alpha**2)]]
+        np.testing.assert_allclose(M, expected, rtol=1e-14, atol=0.0)
+    for alpha in (0.0, 1e-12, -1e-12):
+        # -log(1 - alpha)/alpha = 1 + alpha/2 + alpha^2/3 + ...
+        M = asymptotic_covariance(spec_of("farima10", 0.2, alpha)).M
+        cross = 1.0 + alpha / 2.0
+        expected = [[math.pi**2 / 6.0, cross], [cross, 1.0 / (1.0 - alpha**2)]]
+        np.testing.assert_allclose(M, expected, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("gamma", [(0.2, 0.5), (0.3, -0.7), (0.4, 0.9)])
+def test_asymptotic_covariance_farima10_matches_spectral_quadrature(gamma):
+    # (4 pi)^(-1) int_(-pi)^pi grad log h grad log h^T, with the log-derivatives
+    # in closed form and adaptive quadrature over (0, pi]
+    d, alpha = gamma
+
+    def score(lam):
+        return (
+            -2.0 * math.log(2.0 * math.sin(lam / 2.0)),
+            2.0 * (math.cos(lam) - alpha) / (1.0 - 2.0 * alpha * math.cos(lam) + alpha**2),
+        )
+
+    ref = np.empty((2, 2))
+    for i in range(2):
+        for j in range(2):
+            val = quad(lambda lam: score(lam)[i] * score(lam)[j], 0.0, math.pi, limit=400)[0]
+            ref[i, j] = val / (2.0 * math.pi)
+    M = asymptotic_covariance(spec_of("farima10", *gamma)).M
+    np.testing.assert_allclose(M, ref, rtol=1e-12)
+
+
+# M for LM by the mpmath program below (mp.dps = 20, d given as the double
+# nearest each value); a live integral takes 20-40 s per d, so the values
+# are frozen here and the integrand is checked live at a few frequencies:
+#   def logh(dd, lam):
+#       s = 1 + dd
+#       return -2 * mp.log(abs(1 - mp.polylog(s, mp.expj(-lam)) / mp.zeta(s)))
+#   f = lambda lam: mp.diff(lambda dd: logh(dd, lam), mp.mpf(d)) ** 2
+#   M = mp.quad(f, [0, mp.pi]) / (2 * mp.pi)
+_LM_INFORMATION_MPMATH = {
+    0.011: 1.6150509800661163106,
+    0.1: 1.3908130960940341876,
+    0.3: 0.98167339429461971715,
+    0.45: 0.74311095672477728616,
+    0.489: 0.68915336572903687954,
+}
+
+
+@pytest.mark.parametrize("d", sorted(_LM_INFORMATION_MPMATH))
+def test_asymptotic_covariance_lm_matches_mpmath(d):
+    mp = pytest.importorskip("mpmath")
+    from longmem.estimate import _lm_score
+
+    M = asymptotic_covariance(spec_of("lm", d)).M[0, 0]
+    assert M == pytest.approx(_LM_INFORMATION_MPMATH[d], rel=1e-9)
+    with mp.workdps(15):
+        for lam in (1e-6, 0.7, math.pi):
+
+            def logh(dd):
+                s = 1 + dd
+                return -2 * mp.log(abs(1 - mp.polylog(s, mp.expj(-lam)) / mp.zeta(s)))
+
+            ref = -float(mp.diff(logh, mp.mpf(d)))
+            assert _lm_score(d, lam) == pytest.approx(ref, rel=1e-10), lam
+
+
+@pytest.mark.parametrize("family,d", [("farima00", 0.05), ("lm", 0.1)])
+def test_asymptotic_covariance_matches_time_domain_sum(family, d):
+    # the paper's M = sigma2^(-1) sum_(k,l <= K) du_k du_l r(l - k) at
+    # K = 20,000, grouped by lag; its truncation error grows as d -> 1/2
+    K = 20_000
+    spec = spec_of(family, d, sigma2=2.0)
+    du = dar_coeffs(spec, K)[0]
+    r = autocovariance(spec, K - 1)
+    corr = fftconvolve(du, du[::-1])  # corr[K-1+lag] = sum_k du[k] du[k+lag]
+    M = (corr[K - 1] * r[0] + 2.0 * np.dot(corr[K:], r[1:])) / spec.sigma2
+    assert asymptotic_covariance(spec).M[0, 0] == pytest.approx(M, rel=5e-5)
+
+
+def test_standard_errors_build_no_autocovariance(monkeypatch):
+    import longmem.estimate as estimate
+    import longmem.models as models
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("standard errors must not build coefficient tables")
+
+    for module, name in [
+        (estimate, "autocovariance"),
+        (models, "autocovariance"),
+        (models, "ma_coeffs"),
+        (models, "_ma_coeffs_gamma"),
+    ]:
+        monkeypatch.setattr(module, name, forbidden)
+    for family, gamma in [("farima00", (0.3,)), ("farima10", (0.3, 0.5)), ("lm", (0.3,))]:
+        se = standard_errors(family, gamma, 2.0, 1000)
+        assert se is not None and len(se) == len(gamma) + 1
+        assert all(math.isfinite(v) and v > 0.0 for v in se)
 
 
 def test_nvar_matches_inverse_information_mc():

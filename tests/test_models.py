@@ -10,17 +10,18 @@ from longmem.models import (
     Family,
     ModelSpec,
     ar_coeffs,
+    ar_coeffs_gamma,
     ar_polynomial,
     autocovariance,
     coeff_table,
     dar_coeffs,
+    dar_coeffs_gamma,
     invert_series,
     ma_coeffs,
 )
 from longmem.models import (
     _asymptote_fit,
     _autocov_by_convolution,
-    _dar_coeffs_gamma,
     _ma_coeffs_gamma,
     _tail_corrections,
 )
@@ -141,6 +142,32 @@ def test_ar_farima10_alpha_zero_degenerates():
     assert np.array_equal(u10, u00)
 
 
+@pytest.mark.parametrize(
+    "family,gamma", [("farima00", (0.3,)), ("farima10", (0.3, 0.5)), ("lm", (0.3,))]
+)
+def test_spec_wrappers_equal_the_gamma_entry_points(family, gamma):
+    spec = spec_of(family, *gamma)
+    assert np.array_equal(ar_coeffs(spec, 300), ar_coeffs_gamma(family, gamma, 300))
+    assert np.array_equal(dar_coeffs(spec, 300), dar_coeffs_gamma(family, gamma, 300))
+
+
+def test_gamma_entry_points_keep_the_relaxed_domain():
+    # fits may try d < 0, which ModelSpec rejects
+    assert ar_coeffs_gamma("farima10", (-0.2, 0.5), 10).shape == (10,)
+    assert dar_coeffs_gamma("farima00", (-0.2,), 10).shape == (1, 10)
+    bad_args = [
+        ("lm", (-0.2,), 10),
+        ("farima00", (1.0,), 10),
+        ("farima10", (0.2,), 10),  # wrong gamma length
+        ("farima00", (0.2,), -1),
+    ]
+    for bad in bad_args:
+        with pytest.raises(ValueError):
+            ar_coeffs_gamma(*bad)
+        with pytest.raises(ValueError):
+            dar_coeffs_gamma(*bad)
+
+
 def test_coeffs_do_not_depend_on_sigma2():
     a1 = ma_coeffs(spec_of("farima00", 0.2, sigma2=1.0), 64)
     a2 = ma_coeffs(spec_of("farima00", 0.2, sigma2=400.0), 64)
@@ -197,7 +224,7 @@ def test_dar_farima_matches_complex_step(d, alpha):
     K, h = 2000, 1e-30
     gamma = (d,) if alpha is None else (d, alpha)
     family = Family.FARIMA00 if alpha is None else Family.FARIMA10
-    du = _dar_coeffs_gamma(family, gamma, K)
+    du = dar_coeffs_gamma(family, gamma, K)
     i = np.arange(1.0, K + 1)
     for j in range(len(gamma)):
         # u = -(coefficients of (1 - z)^d (1 - alpha z))[1:], in complex arithmetic

@@ -79,17 +79,11 @@ def test_zeta_first_derivative_finite_difference():
     assert riemann_zeta(1.3, order=1) == pytest.approx(fd, abs=5e-8)
 
 
-def test_zeta_second_derivative_finite_difference():
-    h = 1e-4
-    fd = (riemann_zeta(1.4 + h, 1) - riemann_zeta(1.4 - h, 1)) / (2.0 * h)
-    assert riemann_zeta(1.4, order=2) == pytest.approx(fd, rel=1e-6)
-
-
 def test_zeta_against_mpmath():
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 30
     for s in [1.001, 1.01, 1.1, 1.25, 1.5, 1.75, 2.0]:
-        for order in (0, 1, 2):
+        for order in (0, 1):
             ref = float(mp.zeta(s, derivative=order))
             # 1e-10 absolute, loosened by a few ulps where the value blows up
             tol = max(1e-10, 5e-13 * abs(ref))
@@ -103,13 +97,39 @@ def test_zeta_monotone_and_limit():
     assert vals[-1] == pytest.approx(math.pi**2 / 6.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("s", [0.011, 0.3, 0.489, -3.7, -47.7])
+def test_zeta_derivative_below_one_against_mpmath(s):
+    # the strip 0 < s < 1 by Euler-Maclaurin, s < 0 by the functional equation
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        ref = float(mp.zeta(s, derivative=1))
+    assert riemann_zeta(s, order=1) == pytest.approx(ref, rel=1e-12)
+
+
+def test_zeta_trivial_zeros_are_exact():
+    assert np.array_equal(riemann_zeta(np.array([-2.0, -4.0, -46.0])), [0.0, 0.0, 0.0])
+    # zeta'(-2) = -zeta(3) / (4 pi^2)
+    zeta3 = 1.2020569031595942
+    assert riemann_zeta(-2.0, order=1) == pytest.approx(-zeta3 / (4.0 * math.pi**2), rel=1e-13)
+
+
+def test_zeta_vectorized_matches_scalar():
+    s = 1.3 - np.arange(50.0)
+    for order in (0, 1):
+        vec = riemann_zeta(s, order)
+        assert vec.shape == s.shape
+        np.testing.assert_allclose(vec, [riemann_zeta(float(x), order) for x in s], rtol=1e-15)
+
+
 def test_zeta_domain_errors():
     with pytest.raises(ValueError):
         riemann_zeta(1.0)
     with pytest.raises(ValueError):
-        riemann_zeta(0.5)
+        riemann_zeta(np.array([0.5, 1.0]))
     with pytest.raises(ValueError):
-        riemann_zeta(1.5, order=3)
+        riemann_zeta(float("nan"))
+    with pytest.raises(ValueError):
+        riemann_zeta(1.5, order=2)
 
 
 def test_beta_known_values():
