@@ -180,6 +180,7 @@ def cmd_analyze(args) -> int:
         return _fail(str(exc))
     estimators = args.estimator or ["qmle"]
     fits: list[FitResult] = []
+    mu4: list[float] = []  # mu4[i] belongs to fits[i]
     failed = False
     for family in families:
         for est in estimators:
@@ -187,8 +188,9 @@ def cmd_analyze(args) -> int:
                 fit = _run_fit(work, family, est, with_stderr=False)
                 # sigma2 standard error uses the fourth moment estimated from
                 # this fit's standardized residuals (noise-distribution-dependent)
+                fit_mu4 = _residual_mu4(work, fit)
                 fit.stderr = standard_errors(
-                    fit.family, fit.gamma_hat, fit.sigma2_hat, work.n, _residual_mu4(work, fit)
+                    fit.family, fit.gamma_hat, fit.sigma2_hat, work.n, fit_mu4
                 )
             except (ValueError, RuntimeError) as exc:
                 print(f"warning: {family.value}/{est} fit failed: {exc}", file=sys.stderr)
@@ -196,11 +198,13 @@ def cmd_analyze(args) -> int:
                 continue
             failed = failed or not fit.converged
             fits.append(fit)
+            mu4.append(fit_mu4)
     if not fits:
         return _fail("all fits failed", code=2)
 
-    qmle_fits = [f for f in fits if f.estimator == "qmle"] or fits
-    best = min(qmle_fits, key=lambda f: f.sigma2_hat)
+    qmle = [i for i, f in enumerate(fits) if f.estimator == "qmle"] or range(len(fits))
+    i_best = min(qmle, key=lambda i: fits[i].sigma2_hat)
+    best = fits[i_best]
     try:
         best_spec = ModelSpec(family=best.family, gamma=best.gamma_hat, sigma2=best.sigma2_hat)
         mu_blue = blue_mean(series, best_spec)  # mean of the raw, non-detrended series
@@ -210,7 +214,7 @@ def cmd_analyze(args) -> int:
         trend=trend,
         fits=fits,
         mu_blue=mu_blue,
-        residual_mu4=_residual_mu4(work, best),
+        residual_mu4=mu4[i_best],
     )
     _emit(result.as_dict(), args.out)
     return 2 if failed else 0

@@ -13,10 +13,9 @@ weights u_1, u_2, ... satisfy sum(u_k) = 1 and never depend on sigma2.
 
 All coefficient engines run in O(K) by multiplicative recursion, except the
 LM moving-average weights, which come from O(K log K) Newton series
-inversion.  Every table is returned read-only.  Only true-model quantities,
-which every replication of a campaign reuses, are cached: the MA weights
-and the autocovariances.  AR weights and their derivatives change with
-every optimizer iterate, so they are recomputed on each call.
+inversion.  Every table is returned read-only.  The module holds no state
+and every call computes afresh; the only caches, the circulant embedding
+and the truncated-ma weights, live in simulate, whose campaigns reuse them.
 
 Autocovariances of FARIMA10 and LM are FFT convolutions of the MA weights
 plus the i^(d-1) coefficient tail, integrated for all lags at once by one
@@ -28,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 from scipy.signal import convolve, fftconvolve, lfilter
@@ -39,7 +37,6 @@ from .specfun import log_gamma, riemann_zeta
 __all__ = [
     "Family",
     "ModelSpec",
-    "CoeffTable",
     "ma_coeffs",
     "ar_coeffs",
     "ar_coeffs_gamma",
@@ -47,8 +44,6 @@ __all__ = [
     "dar_coeffs_gamma",
     "invert_series",
     "autocovariance",
-    "coeff_table",
-    "ar_polynomial",
     "default_gamma_bounds",
     "GAMMA_NAMES",
 ]
@@ -68,7 +63,6 @@ GAMMA_NAMES = {
 
 _DEFAULT_D_BOUNDS = (0.01, 0.49)
 _DEFAULT_ALPHA_BOUNDS = (-0.99, 0.99)
-_DEFAULT_SIGMA2_BOUNDS = (1e-6, 1e6)
 
 
 def default_gamma_bounds(family: Family) -> tuple[tuple[float, float], ...]:
@@ -90,7 +84,6 @@ class ModelSpec:
     sigma2: float = 1.0
     mu: float = 0.0
     gamma_bounds: tuple[tuple[float, float], ...] | None = None
-    sigma2_bounds: tuple[float, float] = _DEFAULT_SIGMA2_BOUNDS
 
     def __post_init__(self):
         family = Family(self.family)
@@ -136,15 +129,6 @@ class ModelSpec:
     @property
     def sigma(self) -> float:
         return math.sqrt(self.sigma2)
-
-
-@dataclass(frozen=True)
-class CoeffTable:
-    """Truncated MA(inf) weights a_0..a_K and AR(inf) weights u_1..u_K."""
-
-    a: np.ndarray  # length K + 1
-    u: np.ndarray  # length K, u[k-1] multiplies X_{t-k}
-    K: int
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -203,7 +187,6 @@ def ar_coeffs_gamma(family: Family, gamma, K: int) -> np.ndarray:
     return _readonly(u)
 
 
-@lru_cache(maxsize=512)
 def _ma_coeffs_gamma(family: Family, gamma: tuple[float, ...], K: int) -> np.ndarray:
     family, gamma, K = _checked(family, gamma, K)
     d = gamma[0]
@@ -212,12 +195,8 @@ def _ma_coeffs_gamma(family: Family, gamma: tuple[float, ...], K: int) -> np.nda
     elif family is Family.FARIMA10:
         psi = _frac_diff_coeffs(-d, K)
         a = lfilter([1.0], [1.0, -gamma[1]], psi)
-    else:  # LM: invert the AR polynomial
-        u = ar_coeffs_gamma(family, gamma, K)
-        c = np.empty(K + 1)
-        c[0] = 1.0
-        c[1:] = -u
-        a = invert_series(c)
+    else:  # LM: invert the AR polynomial 1 - sum_k u_k z^k
+        a = invert_series(np.r_[1.0, -ar_coeffs_gamma(family, gamma, K)])
     return _readonly(a)
 
 
@@ -225,7 +204,7 @@ def ma_coeffs(spec: ModelSpec, K: int) -> np.ndarray:
     """MA(inf) weights a_0..a_K on the unit-noise scale (a_0 = 1)."""
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    return _ma_coeffs_gamma(Family(spec.family), spec.gamma, int(K))
+    return _ma_coeffs_gamma(spec.family, spec.gamma, K)
 
 
 def ar_coeffs(spec: ModelSpec, K: int) -> np.ndarray:
@@ -307,19 +286,6 @@ def invert_series(c) -> np.ndarray:
     return b
 
 
-def ar_polynomial(spec: ModelSpec, K: int) -> np.ndarray:
-    """Coefficients of 1 - sum_k u_k z^k, indices 0..K."""
-    u = ar_coeffs(spec, K)
-    c = np.empty(K + 1)
-    c[0] = 1.0
-    c[1:] = -u
-    return c
-
-
-def coeff_table(spec: ModelSpec, K: int) -> CoeffTable:
-    return CoeffTable(a=ma_coeffs(spec, K), u=ar_coeffs(spec, K), K=int(K))
-
-
 def _asymptote_fit(a: np.ndarray, d: float) -> tuple[float, float]:
     """Fit a_i = (c + b/i) i^(d-1) over the last half of the table."""
     Ka = a.size - 1
@@ -367,35 +333,32 @@ def _autocov_by_convolution(
     return r
 
 
-@lru_cache(maxsize=128)
-def _autocov_gamma(
-    family: Family, gamma: tuple[float, ...], maxlag: int, K: int | None
-) -> np.ndarray:
-    if family is Family.FARIMA00:
+def autocovariance(spec: ModelSpec, maxlag: int) -> np.ndarray:
+    """Autocovariances r_X(0..maxlag), including the sigma2 scale.
+
+    FARIMA00 uses the stable closed-form recursion; other families use the
+    MA-weight convolution truncated at K = maxlag + 10000 plus the sum over
+    the i^(d-1) tail of the weights, integrated by a 16-node Gauss-Jacobi
+    rule with weight t^(-2d).  On FARIMA00, where the closed form is exact,
+    this route is within 2.3e-11 of r(0) for d <= 0.489 and maxlag <= 19,999.
+    Against adaptive quadrature at each lag, the rule is within 5e-13 of
+    r(0) for d in [0.011, 0.489].  LM is biased beyond that: the tail fit
+    misses the i^(2d-2) term of its weights, so against a quadrature of the
+    exact spectral density every lag is low by the same 1.5e-11 of r(0) at
+    d = 0.1, 4.0e-7 at 0.3, 7.8e-5 at 0.45 and 1.0e-4 at 0.489 (maxlag 2048).
+    """
+    if maxlag < 0:
+        raise ValueError(f"maxlag must be >= 0, got {maxlag}")
+    maxlag = int(maxlag)
+    if spec.family is Family.FARIMA00:
         # closed form r(k) = r(k-1) (k-1+d)/(k-d); validated against the
         # MA-convolution in the test suite, not assumed
-        d = gamma[0]
+        d = spec.d
         r = np.empty(maxlag + 1)
         r[0] = math.exp(log_gamma(1.0 - 2.0 * d) - 2.0 * log_gamma(1.0 - d))
         if maxlag >= 1:
             k = np.arange(1.0, maxlag + 1)
             r[1:] = r[0] * np.cumprod((k - 1.0 + d) / (k - d))
-        return _readonly(r)
-    return _readonly(_autocov_by_convolution(family, gamma, maxlag, K))
-
-
-def autocovariance(spec: ModelSpec, maxlag: int, K: int | None = None) -> np.ndarray:
-    """Autocovariances r_X(0..maxlag), including the sigma2 scale.
-
-    FARIMA00 uses the stable closed-form recursion; other families use the
-    MA-weight convolution truncated at K (default maxlag + 10000) plus the
-    sum over the i^(d-1) tail of the weights, integrated by a 16-node
-    Gauss-Jacobi rule with weight t^(-2d).  On FARIMA00, where the closed
-    form is exact, this route is within 2.3e-11 of r(0) for d <= 0.489 and
-    maxlag <= 19,999.  Against adaptive quadrature at each lag, the rule
-    is within 5e-13 of r(0) for FARIMA10 and LM with d in [0.011, 0.489].
-    """
-    if maxlag < 0:
-        raise ValueError(f"maxlag must be >= 0, got {maxlag}")
-    r = _autocov_gamma(Family(spec.family), spec.gamma, int(maxlag), K)
+    else:
+        r = _autocov_by_convolution(spec.family, spec.gamma, maxlag)
     return _readonly(spec.sigma2 * r)

@@ -4,6 +4,9 @@ an approximate truncated moving-average generator, both deterministically seeded
 The RNG is numpy's Philox counter-based generator.  A campaign derives one
 independent stream per replication through ``np.random.SeedSequence(base,
 spawn_key=...)``, so serial and parallel runs draw identical numbers.
+
+Replications reuse the library's only caches (64 entries each): the
+circulant embedding per (spec, n) and the truncated-ma weights per (spec, K).
 """
 
 from __future__ import annotations
@@ -131,6 +134,12 @@ def _embedding(spec: ModelSpec, n: int) -> tuple[np.ndarray, int]:
     return ev, M
 
 
+@lru_cache(maxsize=64)
+def _ma_weights(spec: ModelSpec, K: int) -> np.ndarray:
+    """MA weights a_0..a_K of the truncated-ma generator, cached per (spec, K)."""
+    return ma_coeffs(spec, K)
+
+
 def _sample_exact_gaussian(spec: ModelSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     ev, M = _embedding(spec, n)
     half = M // 2
@@ -150,7 +159,7 @@ def _sample_truncated_ma(spec: ModelSpec, n: int, cfg: GenConfig, rng: np.random
     K = cfg.K if cfg.K is not None else 10 * n
     if K < n:
         raise ValueError(f"truncated-ma requires K >= n, got K={K}, n={n}")
-    a = ma_coeffs(spec, K)
+    a = _ma_weights(spec, K)
     eps = rng.standard_normal(cfg.burnin + n + K)
     x = fftconvolve(eps, a, mode="valid")  # x[t] = sum_i a_i eps_{t-i}
     return spec.sigma * x[-n:] + spec.mu

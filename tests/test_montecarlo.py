@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io
 import json
 
@@ -81,6 +82,29 @@ def test_truncated_ma_generator_campaign():
     rec = report.lookup(0, 200, "qmle", "d")
     assert rec.replications_used > 0
     assert np.isfinite(rec.sqrt_mse)
+
+
+def test_truncated_ma_campaign_builds_the_weights_once(monkeypatch):
+    # the package attribute longmem.simulate is the function, not the module
+    simulate = importlib.import_module("longmem.simulate")
+    # start from empty simulate caches, so an earlier test's entry cannot hit
+    for obj in vars(simulate).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+    calls = []
+    ma_coeffs = simulate.ma_coeffs
+
+    def counting(spec, K):
+        calls.append((spec, K))
+        return ma_coeffs(spec, K)
+
+    monkeypatch.setattr(simulate, "ma_coeffs", counting)
+    config = small_config(
+        family="lm", cells=(MCCell(gamma=(0.3,), sigma2=2.0),), generator="truncated-ma", replications=5
+    )
+    run_mc(config)
+    spec = config.cells[0].spec(config.family)
+    assert calls == [(spec, 10 * 200)]
 
 
 def test_mc_se_and_bias_consistency():
