@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimate import FitResult, blue_mean, fit_qmle, fit_whittle, predictors, standard_errors
+from .estimate import ESTIMATORS, FitResult, blue_mean, predictors, standard_errors
 from .models import Family, ModelSpec
 from .montecarlo import MCConfig, emit_table, run_mc
 from .simulate import (
@@ -54,7 +54,7 @@ def detrend_linear(series: Series) -> tuple[Series, float, float]:
     slope, intercept = np.polyfit(t, series.values, 1)
     resid = series.values - (intercept + slope * t)
     resid = resid - resid.mean()  # kill roundoff so the residual mean is exactly 0
-    return Series(values=resid, meta=series.meta), float(intercept), float(slope)
+    return Series(values=resid), float(intercept), float(slope)
 
 
 def _residual_mu4(series: Series, fit: FitResult) -> float:
@@ -100,22 +100,15 @@ def _spec_from_args(args) -> ModelSpec:
 def cmd_simulate(args) -> int:
     try:
         spec = _spec_from_args(args)
-        cfg = GenConfig(generator=args.generator, seed=args.seed, K=args.K, burnin=args.burnin)
+        cfg = GenConfig(generator=args.generator, seed=args.seed, K=args.K)
         series = simulate(spec, args.n, cfg)
     except ValueError as exc:
         return _fail(str(exc))
     if args.out:
         _write(args.out, lambda path: series_to_csv(series, path))
     else:
-        print("x")
-        for v in series.values:
-            print(f"{v:.17g}")
+        series_to_csv(series, sys.stdout)
     return 0
-
-
-def _run_fit(series: Series, family: Family, estimator: str, with_stderr: bool) -> FitResult:
-    fit_fn = fit_whittle if estimator == "whittle" else fit_qmle
-    return fit_fn(series, family, with_stderr=with_stderr)
 
 
 def cmd_fit(args) -> int:
@@ -127,7 +120,7 @@ def cmd_fit(args) -> int:
     if args.detrend:
         series, _, _ = detrend_linear(series)
     try:
-        fit = _run_fit(series, family, args.estimator, args.stderr)
+        fit = ESTIMATORS[args.estimator](series, family, with_stderr=args.stderr)
     except ValueError as exc:
         return _fail(str(exc))
     _emit(fit.as_dict(), args.out)
@@ -137,7 +130,7 @@ def cmd_fit(args) -> int:
 def cmd_mc(args) -> int:
     try:
         config = MCConfig.from_json(args.config)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(f"bad MC config: {exc}")
     if args.out:
         # fail before the campaign, not after it; "a" keeps an existing file
@@ -185,7 +178,7 @@ def cmd_analyze(args) -> int:
     for family in families:
         for est in estimators:
             try:
-                fit = _run_fit(work, family, est, with_stderr=False)
+                fit = ESTIMATORS[est](work, family)
                 # sigma2 standard error uses the fourth moment estimated from
                 # this fit's standardized residuals (noise-distribution-dependent)
                 fit_mu4 = _residual_mu4(work, fit)
@@ -242,14 +235,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--generator", default="exact-gaussian", choices=GENERATORS)
     p.add_argument("--K", type=int, default=None, help="truncated-ma MA truncation")
-    p.add_argument("--burnin", type=int, default=0, help="truncated-ma burn-in")
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fit", help="fit one family to a CSV series")
     p.add_argument("input", help="CSV series path")
     p.add_argument("--family", default="farima00")
-    p.add_argument("--estimator", default="qmle", choices=["qmle", "whittle"])
+    p.add_argument("--estimator", default="qmle", choices=ESTIMATORS)
     p.add_argument("--detrend", action="store_true")
     p.add_argument("--stderr", action="store_true", help="include asymptotic standard errors")
     p.add_argument("--out", default=None)
@@ -271,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="detrend, fit families, report JSON summary")
     p.add_argument("input", help="CSV series path")
     p.add_argument("--family", action="append", help="repeatable; default farima00 and lm")
-    p.add_argument("--estimator", action="append", choices=["qmle", "whittle"])
+    p.add_argument("--estimator", action="append", choices=ESTIMATORS)
     p.add_argument("--detrend", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_analyze)

@@ -65,6 +65,7 @@ __all__ = [
     "fourier_frequencies",
     "spectral_density",
     "fit_whittle",
+    "ESTIMATORS",
     "asymptotic_covariance",
     "blue_weights",
     "blue_mean",
@@ -419,6 +420,10 @@ def fit_whittle(
     if with_stderr:
         result.stderr = standard_errors(family, gamma_hat, sigma2_hat, n, mu4)
     return result
+
+
+# estimator name -> fit function; campaigns and the CLI read names from here
+ESTIMATORS = {"qmle": fit_qmle, "whittle": fit_whittle}
 
 
 # ---------------------------------------------------------------------------

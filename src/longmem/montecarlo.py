@@ -6,26 +6,29 @@ stream derived from (base_seed, c, n_index, r), so the report depends on
 the config alone.  Replications run serially (a thread pool ran slower on
 two cores).  Failed fits (non-convergence or a boundary-pinned gamma) are
 excluded from the aggregates and counted.
+
+``MCConfig`` and ``MCCell`` alone define a campaign: a JSON config uses
+their field names, defaults and normalisation, so it equals the same config
+built in Python.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import operator
 from dataclasses import dataclass, field
 from io import StringIO
 
 import numpy as np
 
-from .estimate import fit_qmle, fit_whittle
+from .estimate import ESTIMATORS
 from .models import GAMMA_NAMES, Family, ModelSpec
 from .simulate import GENERATORS, GenConfig, derive_seed, simulate
 
 logger = logging.getLogger(__name__)
 
 __all__ = ["MCCell", "MCConfig", "MCRecord", "MCReport", "run_mc", "emit_table"]
-
-_ESTIMATORS = {"qmle": fit_qmle, "whittle": fit_whittle}
 
 
 @dataclass(frozen=True)
@@ -36,6 +39,14 @@ class MCCell:
     sigma2: float
     mu: float = 0.0
     gamma_bounds: tuple[tuple[float, float], ...] | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "gamma", tuple(float(g) for g in self.gamma))
+        object.__setattr__(self, "sigma2", float(self.sigma2))
+        object.__setattr__(self, "mu", float(self.mu))
+        if self.gamma_bounds is not None:
+            bounds = tuple((float(lo), float(hi)) for lo, hi in self.gamma_bounds)
+            object.__setattr__(self, "gamma_bounds", bounds)
 
     def label(self) -> str:
         parts = [f"{v:g}" for v in self.gamma]
@@ -61,15 +72,18 @@ class MCConfig:
     base_seed: int = 20240915
     generator: str = "exact-gaussian"
     gen_K_mult: int = 10  # truncated-ma: K = mult * n
-    gen_burnin_mult: int = 10
 
     def __post_init__(self):
         object.__setattr__(self, "family", Family(self.family))
         object.__setattr__(
             self, "cells", tuple(c if isinstance(c, MCCell) else MCCell(**c) for c in self.cells)
         )
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        object.__setattr__(self, "n_grid", tuple(operator.index(n) for n in self.n_grid))
         object.__setattr__(self, "estimators", tuple(self.estimators))
+        for name in ("replications", "base_seed", "gen_K_mult"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
+        if not (self.cells and self.n_grid and self.estimators):
+            raise ValueError("cells, n_grid and estimators must not be empty")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if any(n < 2 for n in self.n_grid):
@@ -77,37 +91,21 @@ class MCConfig:
         if self.generator not in GENERATORS:
             raise ValueError(f"unknown generator {self.generator!r}")
         for est in self.estimators:
-            if est not in _ESTIMATORS:
+            if est not in ESTIMATORS:
                 raise ValueError(f"unknown estimator {est!r}")
         for cell in self.cells:
             cell.spec(self.family)  # validate every cell eagerly
 
     @classmethod
     def from_json(cls, path) -> "MCConfig":
+        """Read a JSON object keyed by the MCConfig fields (each cell keyed by
+        the MCCell fields); any malformed config raises ValueError."""
         with open(path) as fh:
             raw = json.load(fh)
-        cells = tuple(
-            MCCell(
-                gamma=tuple(c["gamma"]),
-                sigma2=float(c["sigma2"]),
-                mu=float(c.get("mu", 0.0)),
-                gamma_bounds=(
-                    tuple(tuple(b) for b in c["gamma_bounds"]) if c.get("gamma_bounds") else None
-                ),
-            )
-            for c in raw["cells"]
-        )
-        return cls(
-            family=Family(raw["family"]),
-            cells=cells,
-            n_grid=tuple(raw.get("n_grid", (300, 1000, 3000))),
-            replications=int(raw.get("replications", 300)),
-            estimators=tuple(raw.get("estimators", ["qmle"])),
-            base_seed=int(raw.get("base_seed", 20240915)),
-            generator=raw.get("generator", "exact-gaussian"),
-            gen_K_mult=int(raw.get("gen_K_mult", 10)),
-            gen_burnin_mult=int(raw.get("gen_burnin_mult", 10)),
-        )
+        try:
+            return cls(**raw)
+        except TypeError as exc:
+            raise ValueError(str(exc)) from exc
 
 
 @dataclass
@@ -182,12 +180,11 @@ def _run_replications(config, spec, n, n_index, cell_index, estimates):
             generator=config.generator,
             seed=derive_seed(config.base_seed, cell_index, n_index, r),
             K=config.gen_K_mult * n,
-            burnin=config.gen_burnin_mult * n,
         )
         series = simulate(spec, n, gen)
         for est in config.estimators:
             try:
-                fit = _ESTIMATORS[est](series, config.family, bounds=spec.gamma_bounds)
+                fit = ESTIMATORS[est](series, config.family, bounds=spec.gamma_bounds)
             except Exception:
                 logger.exception(
                     "fit %s failed: cell %d, n %d, replication %d", est, cell_index, n, r

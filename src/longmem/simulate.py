@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .models import Family, ModelSpec, autocovariance, ma_coeffs
+from .models import ModelSpec, autocovariance, ma_coeffs
 
 __all__ = [
     "Series",
@@ -59,7 +59,6 @@ class Series:
     """An observed or simulated trajectory X_1..X_n."""
 
     values: np.ndarray
-    meta: dict | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -77,7 +76,8 @@ class Series:
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Generator choice plus seed; K and burnin apply to truncated-ma only.
+    """Generator choice plus seed; K, the MA truncation (default 10 n),
+    applies to truncated-ma only.
 
     seed is an integer or a ``np.random.SeedSequence``, such as the
     per-replication stream a campaign derives with ``derive_seed``.
@@ -86,13 +86,10 @@ class GenConfig:
     generator: str = "exact-gaussian"
     seed: int | np.random.SeedSequence = 0
     K: int | None = None
-    burnin: int = 0
 
     def __post_init__(self):
         if self.generator not in GENERATORS:
             raise ValueError(f"unknown generator {self.generator!r}, expected one of {GENERATORS}")
-        if self.burnin < 0:
-            raise ValueError("burnin must be >= 0")
 
 
 def rng_from_seed(seed) -> np.random.Generator:
@@ -160,9 +157,9 @@ def _sample_truncated_ma(spec: ModelSpec, n: int, cfg: GenConfig, rng: np.random
     if K < n:
         raise ValueError(f"truncated-ma requires K >= n, got K={K}, n={n}")
     a = _ma_weights(spec, K)
-    eps = rng.standard_normal(cfg.burnin + n + K)
-    x = fftconvolve(eps, a, mode="valid")  # x[t] = sum_i a_i eps_{t-i}
-    return spec.sigma * x[-n:] + spec.mu
+    eps = rng.standard_normal(n + K)
+    x = fftconvolve(eps, a, mode="valid")  # x[t] = sum_i a_i eps_{t-i}, all K + 1 terms
+    return spec.sigma * x + spec.mu
 
 
 def simulate(spec: ModelSpec, n: int, cfg: GenConfig) -> Series:
@@ -170,9 +167,10 @@ def simulate(spec: ModelSpec, n: int, cfg: GenConfig) -> Series:
 
     exact-gaussian embeds the autocovariance ring in a circulant of size
     next_pow2(4n) and synthesizes a stationary Gaussian path with exactly the
-    target covariance; truncated-ma filters white noise through the first K
-    moving-average weights and discards the burn-in.  Identical
-    (spec, n, cfg) always yields bit-identical output.
+    target covariance; truncated-ma filters n + K white-noise draws through
+    the first K + 1 moving-average weights, so every output value is a full
+    window of K + 1 terms and no burn-in is needed.  Identical (spec, n, cfg)
+    always yields bit-identical output.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
@@ -181,25 +179,17 @@ def simulate(spec: ModelSpec, n: int, cfg: GenConfig) -> Series:
         values = _sample_exact_gaussian(spec, n, rng)
     else:
         values = _sample_truncated_ma(spec, n, cfg, rng)
-    meta = {
-        "family": Family(spec.family).value,
-        "gamma": list(spec.gamma),
-        "sigma2": spec.sigma2,
-        "mu": spec.mu,
-        "generator": cfg.generator,
-        "seed": cfg.seed,
-        "n": n,
-    }
-    return Series(values=values, meta=meta)
+    return Series(values=values)
 
 
 def series_to_csv(series: Series, path) -> None:
-    """One value per line with a single header row ``x``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x"])
-        for v in series.values:
-            writer.writerow([f"{v:.17g}"])
+    """One value per line under a single header row ``x``, LF line ends.
+    ``path`` is a file path or an open text stream such as ``sys.stdout``."""
+    text = "x\n" + "".join(f"{v:.17g}\n" for v in series.values)
+    if hasattr(path, "write"):
+        path.write(text)
+    else:
+        Path(path).write_text(text)
 
 
 def series_from_csv(path) -> Series:
@@ -230,4 +220,4 @@ def series_from_csv(path) -> Series:
         values = np.array([v for _, v in pairs])
     else:
         raise ValueError(f"expected 1 or 2 columns, got {width}")
-    return Series(values=values, meta={"source": str(Path(path))})
+    return Series(values=values)

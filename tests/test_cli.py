@@ -173,6 +173,48 @@ def test_cli_mc_bad_config(tmp_path):
     assert run_cli("mc", "--config", str(tmp_path / "missing.json")) == 1
 
 
+_GOOD_MC = {
+    "family": "farima00",
+    "cells": [{"gamma": [0.2], "sigma2": 4.0}],
+    "n_grid": [200],
+    "replications": 2,
+}
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        _GOOD_MC | {"cells": 5},
+        [_GOOD_MC],
+        _GOOD_MC | {"cells": [{"gamma": 0.2, "sigma2": 4.0}]},
+        _GOOD_MC | {"n_grid": 200},
+        _GOOD_MC | {"replication": 9},
+        _GOOD_MC | {"cells": []},
+        _GOOD_MC | {"n_grid": []},
+        _GOOD_MC | {"estimators": []},
+        _GOOD_MC | {"replications": 2.5},
+    ],
+    ids=[
+        "cells-not-a-list",
+        "top-level-list",
+        "gamma-not-a-list",
+        "n_grid-not-a-list",
+        "unknown-key",
+        "no-cells",
+        "empty-n_grid",
+        "no-estimators",
+        "replications-not-an-integer",
+    ],
+)
+def test_cli_mc_malformed_config_exits_with_message(tmp_path, capsys, raw):
+    config = tmp_path / "mc.json"
+    config.write_text(json.dumps(raw))
+    assert run_cli("mc", "--config", str(config), "--table", "markdown") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad MC config: ")
+    assert "Traceback" not in err
+
+
 def _reject_constant(token):
     raise ValueError(f"non-strict JSON token {token}")
 
@@ -352,3 +394,11 @@ def test_cli_simulate_stdout(capsys):
     assert out[0] == "x"
     assert len(out) == 6
     float(out[1])
+
+
+def test_cli_simulate_stdout_equals_out_file(tmp_path, capsysbinary):
+    args = ["simulate", "--family", "lm", "--n", "500"]
+    out = tmp_path / "x.csv"
+    assert run_cli(*args, "--out", str(out)) == 0
+    assert run_cli(*args) == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()

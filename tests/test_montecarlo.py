@@ -77,7 +77,7 @@ def test_failures_are_counted_and_excluded():
 
 
 def test_truncated_ma_generator_campaign():
-    config = small_config(generator="truncated-ma", gen_K_mult=10, gen_burnin_mult=2)
+    config = small_config(generator="truncated-ma", gen_K_mult=10)
     report = run_mc(config)
     rec = report.lookup(0, 200, "qmle", "d")
     assert rec.replications_used > 0
@@ -190,6 +190,17 @@ def test_config_json_round_trip(tmp_path):
     assert config.cells[1].gamma_bounds == ((-0.2, 0.75), (-0.99, 0.99))
     assert config.n_grid == (300, 1000)
     assert config.replications == 25
+
+
+def test_config_json_equals_python_config(tmp_path):
+    # the dataclasses own the defaults and normalise lists to tuples, so a
+    # JSON config and the same config built in Python with lists are equal
+    cell = {"gamma": [0.3], "sigma2": 2, "gamma_bounds": [[0.01, 0.49]]}
+    path = tmp_path / "mc.json"
+    path.write_text(json.dumps({"family": "lm", "cells": [cell]}))
+    built = MCConfig(family="lm", cells=[MCCell(**cell)])
+    assert MCConfig.from_json(path) == built
+    assert built == MCConfig(family="lm", cells=[cell])
 
 
 def test_report_json_export(tmp_path):

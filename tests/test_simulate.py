@@ -41,8 +41,6 @@ def test_series_validation():
 def test_genconfig_validation():
     with pytest.raises(ValueError):
         GenConfig(generator="bogus")
-    with pytest.raises(ValueError):
-        GenConfig(burnin=-1)
 
 
 def test_simulate_deterministic():
@@ -57,7 +55,7 @@ def test_simulate_deterministic():
 
 def test_simulate_truncated_ma_deterministic_and_k_check():
     spec = ModelSpec(family="farima00", gamma=(0.2,))
-    cfg = GenConfig(generator="truncated-ma", seed=3, K=2000, burnin=500)
+    cfg = GenConfig(generator="truncated-ma", seed=3, K=2000)
     s1 = simulate(spec, 200, cfg)
     s2 = simulate(spec, 200, cfg)
     assert np.array_equal(s1.values, s2.values)
@@ -128,7 +126,7 @@ def test_truncated_ma_distribution_matches_exact_gaussian():
     approx = np.empty(reps)
     for r in range(reps):
         exact[r] = simulate(spec, n, GenConfig(seed=70000 + r)).values[-1]
-        cfg = GenConfig(generator="truncated-ma", seed=80000 + r, K=10 * n, burnin=10 * n)
+        cfg = GenConfig(generator="truncated-ma", seed=80000 + r, K=10 * n)
         approx[r] = simulate(spec, n, cfg).values[-1]
     assert ks_2samp(exact, approx).pvalue > 0.01
 
