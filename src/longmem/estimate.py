@@ -4,11 +4,16 @@
   S_n(gamma) = sum_t (X_t - mhat_t(gamma))^2 with
   mhat_t(gamma) = sum_{i=1}^{t-1} u_i(gamma) X_{t-i}, and
   sigma2_hat = S_n(gamma_hat) / n.  This is exactly the Gaussian
-  quasi-maximum likelihood estimator with sigma2 profiled out.
+  quasi-maximum likelihood estimator with sigma2 profiled out.  All n
+  predictors are one FFT product: the series is transformed once per fit,
+  and each evaluation costs one rfft of the AR weights and one irfft.
 * Whittle: frequency-domain contrast on the mean-removed periodogram,
   sigma2 profiled out analytically.  Every spectral shape is in closed form:
   the LM one sums its AR weights as 1 - Li_(1+d)(e^(-i lambda)) / zeta(1+d)
-  by the convergent polylogarithm series, with no truncation.
+  by the convergent polylogarithm series, with no truncation.  What does not
+  depend on gamma is computed once per fit: log(2 sin(lambda/2)) and
+  e^(i lambda) for FARIMA, the table of (-i lambda)^k / k! for LM, so an LM
+  evaluation is one matrix-vector product with zeta(1 + d - k).
 * BLUE location estimator with Toeplitz weights, plus the asymptotic
   covariance of the QMLE (matrix M and the sigma2 block) and helper scales.
   M is the exact limit information matrix, from its spectral form: in
@@ -22,6 +27,7 @@ for Whittle.
 
 from __future__ import annotations
 
+import cmath
 import logging
 import math
 import warnings
@@ -29,10 +35,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import solve_toeplitz
 from scipy.optimize import minimize_scalar
-from scipy.signal import fftconvolve
 from scipy.special import digamma, roots_laguerre, zeta
 from scipy.special import gamma as gamma_fn
 
@@ -131,12 +136,22 @@ class AsymptoticInfo:
 # ---------------------------------------------------------------------------
 
 
+def _prediction_filter(values: np.ndarray):
+    """u -> (sum_{i=1}^{t-1} u_i X_{t-i})_{t=1..n} for weights u_1..u_(n-1).
+
+    rfft(X, N) is taken once, with N >= 2n - 1 so that the circular product
+    is the linear one; each call then costs one rfft of the weights and one
+    irfft.  N is the length fftconvolve(X, [0, u]) would choose, so the
+    values are the ones it gives."""
+    n = values.size
+    N = next_fast_len(2 * n - 1, real=True)
+    X = rfft(values, N)
+    return lambda u: irfft(X * rfft(np.r_[0.0, u], N), N)[:n]
+
+
 def predictors(values: np.ndarray, family: Family, gamma: tuple[float, ...]) -> np.ndarray:
     """All truncated one-step predictors mhat_1..mhat_n (mhat_1 = 0)."""
-    n = values.size
-    u = ar_coeffs_gamma(family, gamma, n - 1) if n > 1 else np.empty(0)
-    kernel = np.concatenate([[0.0], u])
-    return fftconvolve(values, kernel)[:n]
+    return _prediction_filter(values)(ar_coeffs_gamma(family, gamma, values.size - 1))
 
 
 def truncated_predictor(series: Series, family: Family, gamma, t: int) -> float:
@@ -164,14 +179,10 @@ def qmle_gradient(series: Series, family: Family, gamma) -> np.ndarray:
     values = series.values
     n = values.size
     gamma = tuple(gamma)
-    resid = values - predictors(values, family, gamma)
+    predict = _prediction_filter(values)
+    resid = values - predict(ar_coeffs_gamma(family, gamma, n - 1))
     du = dar_coeffs_gamma(family, gamma, n - 1)
-    grad = np.empty(du.shape[0])
-    for j in range(du.shape[0]):
-        kernel = np.concatenate([[0.0], du[j]])
-        dm = fftconvolve(values, kernel)[:n]
-        grad[j] = -2.0 * np.dot(dm, resid)
-    return grad
+    return np.array([-2.0 * np.dot(predict(row), resid) for row in du])
 
 
 def quasi_loglik(series: Series, family: Family, gamma, sigma2: float) -> float:
@@ -239,13 +250,19 @@ def fit_qmle(
     if n < 30:
         warnings.warn(f"n={n} is small; QMLE asymptotics are unreliable", stacklevel=2)
     opt_bounds = _fit_bounds(family, bounds)
+    values = series.values
+    predict = _prediction_filter(values)
+
+    def residual(fam, d):
+        return values - predict(ar_coeffs_gamma(fam, (d,), n - 1))
 
     def contrast(d):
         if family is not Family.FARIMA10:
-            return qmle_objective(series, family, (d,)), (d,), 1, True
+            resid = residual(family, d)
+            return float(np.dot(resid, resid)), (d,), 1, True
         # the residual of (1 - z)^d (1 - alpha z) is w_t - alpha w_(t-1), with
         # w the FARIMA00 residual and w_0 = 0: S_n is quadratic in alpha
-        w = series.values - predictors(series.values, Family.FARIMA00, (d,))
+        w = residual(Family.FARIMA00, d)
         ss = float(np.dot(w[:-1], w[:-1]))
         alpha = float(np.dot(w[1:], w[:-1])) / ss if ss > 0.0 else 0.0
         alpha = min(max(alpha, opt_bounds[1][0]), opt_bounds[1][1])
@@ -313,38 +330,54 @@ def periodogram(series: Series) -> np.ndarray:
     return np.abs(dft[1 : m + 1]) ** 2 / (2.0 * math.pi * n)
 
 
-def _polylog_tail(lam, coef: np.ndarray) -> np.ndarray:
-    """sum_(k>=1) coef_k (-i lam)^k / k!, the power-series part of the LM
-    polylogarithm series past its constant term."""
-    k = np.arange(coef.size)
-    c = coef * (-1j) ** k / gamma_fn(k + 1.0)
-    c[0] = 0.0
-    return polyval(lam, c)
+def _lm_powers(lam: np.ndarray) -> np.ndarray:
+    """(m, _LM_SERIES_TERMS) table of (-i lam)^k / k!, column 0 zero: the
+    d-independent factors of the LM polylogarithm series past its constant
+    term.  lam^k / k! is a running product along k, and (-i)^k is taken
+    exactly from its period of four."""
+    k = np.arange(1, _LM_SERIES_TERMS)
+    table = np.zeros((lam.size, _LM_SERIES_TERMS), dtype=complex)
+    table[:, 1:] = np.cumprod(lam[:, np.newaxis] / k, axis=1) * np.array([1, -1j, -1, 1j])[k % 4]
+    return table
 
 
-def _lm_transfer(d: float, lam) -> np.ndarray:
+def _lm_head(d: float, log_lam: np.ndarray) -> np.ndarray:
+    """Gamma(-d) (i lam)^d = Gamma(-d) e^(i pi d / 2) lam^d, the singular term
+    of the LM polylogarithm series."""
+    return gamma_fn(-d) * cmath.exp(0.5j * math.pi * d) * np.exp(d * log_lam)
+
+
+def _lm_transfer(d: float, log_lam: np.ndarray, powers: np.ndarray) -> np.ndarray:
     """1 - Li_s(e^(-i lam)) / zeta(s), s = 1 + d, lam in (0, pi], by the series
     Li_s(e^mu) = Gamma(1-s) (-mu)^(s-1) + sum_k zeta(s-k) mu^k / k!, |mu| < 2 pi
-    (Wood 1992).  Its k = 0 term is the normalizing zeta(s) and cancels exactly;
-    against mpmath it is within 1e-15 relative for d in [0.011, 0.489]."""
+    (Wood 1992), with log_lam = log(lam) and powers = _lm_powers(lam).  Its
+    k = 0 term is the normalizing zeta(s) and cancels exactly; against mpmath
+    it is within 1e-15 relative for d in [0.011, 0.489]."""
     if not 0.0 < d < 1.0:
         raise ValueError(f"LM transfer function requires d in (0, 1), got {d}")
-    s = 1.0 + d
-    z = zeta(s - np.arange(_LM_SERIES_TERMS))
-    li_minus_z = gamma_fn(1.0 - s) * (1j * lam) ** (s - 1.0) + _polylog_tail(lam, z)
-    return -li_minus_z / z[0]
+    z = zeta(1.0 + d - np.arange(_LM_SERIES_TERMS))
+    return -(_lm_head(d, log_lam) + powers @ z) / z[0]
+
+
+def _shape_function(family: Family, lam: np.ndarray):
+    """gamma -> h_gamma(lam), with f = sigma2 h / (2 pi) and lam in (0, pi].
+
+    What does not depend on gamma is computed here, once per frequency grid:
+    log(lam) and the LM power table, or log(2 sin(lam/2)) and e^(i lam) for
+    FARIMA."""
+    if family is Family.LM:
+        log_lam, powers = np.log(lam), _lm_powers(lam)
+        return lambda gamma: np.abs(_lm_transfer(gamma[0], log_lam, powers)) ** -2
+    log_2sin = np.log(2.0 * np.sin(lam / 2.0))
+    if family is Family.FARIMA00:
+        return lambda gamma: np.exp(-2.0 * gamma[0] * log_2sin)
+    e = np.exp(1j * lam)
+    return lambda gamma: np.exp(-2.0 * gamma[0] * log_2sin) * np.abs(1.0 - gamma[1] * e) ** -2
 
 
 def _spectral_shape(family: Family, gamma, lam: np.ndarray) -> np.ndarray:
-    """h with f = sigma2 h / (2 pi), lam in (0, pi]; spectral_density and the
-    Whittle contrast both use it."""
-    d = gamma[0]
-    if family is Family.LM:
-        return np.abs(_lm_transfer(d, lam)) ** -2
-    h = np.exp(-2.0 * d * np.log(2.0 * np.sin(lam / 2.0)))
-    if family is Family.FARIMA10:
-        h = h * np.abs(1.0 - gamma[1] * np.exp(1j * lam)) ** -2
-    return h
+    """h_gamma(lam) on one grid, for lam in (0, pi]."""
+    return _shape_function(family, lam)(gamma)
 
 
 def spectral_density(spec: ModelSpec, lam):
@@ -388,9 +421,10 @@ def fit_whittle(
         )
     lam = fourier_frequencies(n)
     m = lam.size
+    shape = _shape_function(family, lam)
 
     def profiled(gamma) -> float:
-        h = _spectral_shape(family, gamma, lam)
+        h = shape(gamma)
         s2 = (2.0 * math.pi / m) * float(np.sum(pgram / h))
         return m * math.log(s2) + float(np.sum(np.log(h)))
 
@@ -403,7 +437,7 @@ def fit_whittle(
         return float(res.fun), (d, float(res.x)), int(res.nfev), bool(res.success)
 
     gamma_hat, _, nfev, ok = _minimize_gamma(contrast, opt_bounds)
-    h_hat = _spectral_shape(family, gamma_hat, lam)
+    h_hat = shape(gamma_hat)
     sigma2_hat = (2.0 * math.pi / m) * float(np.sum(pgram / h_hat))
     f_hat = sigma2_hat * h_hat / (2.0 * math.pi)
     contrast = float(np.sum(np.log(f_hat) + pgram / f_hat))
@@ -431,8 +465,9 @@ ESTIMATORS = {"qmle": fit_qmle, "whittle": fit_whittle}
 # ---------------------------------------------------------------------------
 
 
-def _lm_score(d: float, lam) -> np.ndarray:
-    """-d/dd log h for LM at lam in (0, pi].
+def _lm_score(d: float, log_lam: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """-d/dd log h for LM at lam in (0, pi], with log_lam = log(lam) and
+    powers = _lm_powers(lam).
 
     log h = -2 Re log T with T = 1 - Li_s(e^(-i lam)) / zeta(s), s = 1 + d.
     The series of _lm_transfer differentiated in s gives
@@ -443,16 +478,19 @@ def _lm_score(d: float, lam) -> np.ndarray:
     s = 1.0 + d
     k = np.arange(_LM_SERIES_TERMS)
     z, dz = zeta(s - k), riemann_zeta(s - k, order=1)
-    head = gamma_fn(1.0 - s) * (1j * lam) ** (s - 1.0)
-    li = head + _polylog_tail(lam, z)
-    dli = head * (np.log(lam) + 0.5j * math.pi - digamma(1.0 - s)) + _polylog_tail(lam, dz)
+    head = _lm_head(d, log_lam)
+    li = head + powers @ z
+    dli = head * (log_lam + 0.5j * math.pi - digamma(1.0 - s)) + powers @ dz
     return 2.0 * (dli / li).real - 2.0 * dz[0] / z[0]
 
 
 @lru_cache(maxsize=1)
-def _laguerre_rule() -> tuple[np.ndarray, np.ndarray]:
+def _laguerre_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """log(lam) at the nodes lam = pi e^(-v), the weights, and the LM power
+    table at the nodes."""
     v, w = roots_laguerre(_INFO_NODES)
-    return math.pi * np.exp(-v), w
+    lam = math.pi * np.exp(-v)
+    return np.log(lam), w, _lm_powers(lam)
 
 
 def _lm_information(d: float) -> float:
@@ -460,8 +498,8 @@ def _lm_information(d: float) -> float:
     is even and grows like log^2 lambda at 0; on lambda = pi e^(-v) the
     integral over (0, pi] is pi int_0^inf F(pi e^(-v)) e^(-v) dv, one
     Gauss-Laguerre rule."""
-    lam, w = _laguerre_rule()
-    return 0.5 * float(np.dot(w, _lm_score(d, lam) ** 2))
+    log_lam, w, powers = _laguerre_rule()
+    return 0.5 * float(np.dot(w, _lm_score(d, log_lam, powers) ** 2))
 
 
 def asymptotic_covariance(spec: ModelSpec, mu4: float = 3.0) -> AsymptoticInfo:

@@ -31,6 +31,22 @@ logger = logging.getLogger(__name__)
 __all__ = ["MCCell", "MCConfig", "MCRecord", "MCReport", "run_mc", "emit_table"]
 
 
+def _coerce(obj, name: str, convert) -> None:
+    """Set field ``name`` of a frozen dataclass to convert(value); a value
+    that convert rejects raises ValueError naming the field."""
+    try:
+        object.__setattr__(obj, name, convert(getattr(obj, name)))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name}: {exc}") from exc
+
+
+def _names(value) -> tuple[str, ...]:
+    # tuple("qmle") would be four one-letter names
+    if isinstance(value, str):
+        raise TypeError(f"expected a list of names, got the string {value!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class MCCell:
     """One true-parameter cell (gamma*, sigma2*), with optional overrides."""
@@ -41,12 +57,13 @@ class MCCell:
     gamma_bounds: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", tuple(float(g) for g in self.gamma))
-        object.__setattr__(self, "sigma2", float(self.sigma2))
-        object.__setattr__(self, "mu", float(self.mu))
+        _coerce(self, "gamma", lambda gamma: tuple(float(g) for g in gamma))
+        _coerce(self, "sigma2", float)
+        _coerce(self, "mu", float)
         if self.gamma_bounds is not None:
-            bounds = tuple((float(lo), float(hi)) for lo, hi in self.gamma_bounds)
-            object.__setattr__(self, "gamma_bounds", bounds)
+            _coerce(
+                self, "gamma_bounds", lambda b: tuple((float(lo), float(hi)) for lo, hi in b)
+            )
 
     def label(self) -> str:
         parts = [f"{v:g}" for v in self.gamma]
@@ -74,16 +91,17 @@ class MCConfig:
     gen_K_mult: int = 10  # truncated-ma: K = mult * n
 
     def __post_init__(self):
-        object.__setattr__(self, "family", Family(self.family))
-        object.__setattr__(
-            self, "cells", tuple(c if isinstance(c, MCCell) else MCCell(**c) for c in self.cells)
+        _coerce(self, "family", Family)
+        _coerce(
+            self, "cells", lambda cs: tuple(c if isinstance(c, MCCell) else MCCell(**c) for c in cs)
         )
-        object.__setattr__(self, "n_grid", tuple(operator.index(n) for n in self.n_grid))
-        object.__setattr__(self, "estimators", tuple(self.estimators))
+        _coerce(self, "n_grid", lambda ns: tuple(operator.index(n) for n in ns))
+        _coerce(self, "estimators", _names)
         for name in ("replications", "base_seed", "gen_K_mult"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
-        if not (self.cells and self.n_grid and self.estimators):
-            raise ValueError("cells, n_grid and estimators must not be empty")
+            _coerce(self, name, operator.index)
+        for name in ("cells", "n_grid", "estimators"):
+            if not getattr(self, name):
+                raise ValueError(f"{name}: must not be empty")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if any(n < 2 for n in self.n_grid):

@@ -182,37 +182,48 @@ _GOOD_MC = {
 
 
 @pytest.mark.parametrize(
-    "raw",
+    "raw,names",
     [
-        _GOOD_MC | {"cells": 5},
-        [_GOOD_MC],
-        _GOOD_MC | {"cells": [{"gamma": 0.2, "sigma2": 4.0}]},
-        _GOOD_MC | {"n_grid": 200},
-        _GOOD_MC | {"replication": 9},
-        _GOOD_MC | {"cells": []},
-        _GOOD_MC | {"n_grid": []},
-        _GOOD_MC | {"estimators": []},
-        _GOOD_MC | {"replications": 2.5},
+        (_GOOD_MC | {"cells": 5}, "cells: "),
+        ([_GOOD_MC], None),
+        (_GOOD_MC | {"cells": [{"gamma": 0.2, "sigma2": 4.0}]}, "cells: gamma: "),
+        (
+            _GOOD_MC | {"cells": [{"gamma": [0.2], "sigma2": 4.0, "gamma_bounds": [0.1, 0.4]}]},
+            "cells: gamma_bounds: ",
+        ),
+        (_GOOD_MC | {"family": "farima01"}, "family: "),
+        (_GOOD_MC | {"n_grid": 200}, "n_grid: "),
+        (_GOOD_MC | {"replication": 9}, "'replication'"),
+        (_GOOD_MC | {"cells": []}, "cells: "),
+        (_GOOD_MC | {"n_grid": []}, "n_grid: "),
+        (_GOOD_MC | {"estimators": []}, "estimators: "),
+        (_GOOD_MC | {"estimators": "qmle"}, "estimators: "),
+        (_GOOD_MC | {"replications": 2.5}, "replications: "),
     ],
     ids=[
         "cells-not-a-list",
         "top-level-list",
         "gamma-not-a-list",
+        "gamma_bounds-not-pairs",
+        "unknown-family",
         "n_grid-not-a-list",
         "unknown-key",
         "no-cells",
         "empty-n_grid",
         "no-estimators",
+        "estimators-a-string",
         "replications-not-an-integer",
     ],
 )
-def test_cli_mc_malformed_config_exits_with_message(tmp_path, capsys, raw):
+def test_cli_mc_malformed_config_exits_with_message(tmp_path, capsys, raw, names):
     config = tmp_path / "mc.json"
     config.write_text(json.dumps(raw))
     assert run_cli("mc", "--config", str(config), "--table", "markdown") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: bad MC config: ")
     assert "Traceback" not in err
+    if names is not None:  # the field at fault, with the cell field after "cells: "
+        assert names in err
 
 
 def _reject_constant(token):

@@ -15,6 +15,7 @@ from longmem.estimate import (
     fourier_frequencies,
     mean_clt_scale,
     periodogram,
+    predictors,
     qmle_gradient,
     qmle_objective,
     quasi_loglik,
@@ -61,6 +62,21 @@ def test_predictor_brute_force_oracle():
     for i in range(1, t):
         brute += u[i - 1] * series.values[t - i - 1]
     assert truncated_predictor(series, "farima00", (0.3,), t) == pytest.approx(brute, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 257, 1000])
+@pytest.mark.parametrize(
+    "family,gamma",
+    [("farima00", (0.3,)), ("farima10", (0.3, -0.6)), ("lm", (0.3,))],
+    ids=["farima00", "farima10", "lm"],
+)
+def test_predictors_match_direct_sum(family, gamma, n):
+    # the FFT product against the direct sum at every t; mhat_1 is exactly 0
+    # in the sum, so FFT rounding there needs the absolute floor
+    series = Series(values=white_noise(n, seed=n))
+    fast = predictors(series.values, family, gamma)
+    direct = np.array([truncated_predictor(series, family, gamma, t) for t in range(1, n + 1)])
+    np.testing.assert_allclose(fast, direct, rtol=1e-12, atol=1e-13 * np.max(np.abs(direct)))
 
 
 def test_objective_zero_series():
@@ -198,10 +214,31 @@ def test_fit_whittle_farima10_two_dimensional():
     assert fit.iterations > 20
 
 
-def _whittle_profiled(series, gamma):
+def _whittle_profiled(series, gamma, family="farima10"):
+    # m log sigma2_hat(gamma) + sum_j log h_gamma(lambda_j), from the public
+    # spectral_density alone (sigma2 = 2 pi makes f = h)
     pgram = periodogram(series)
-    h = spectral_density(spec_of("farima10", *gamma, sigma2=2.0 * math.pi), fourier_frequencies(series.n))
+    spec = spec_of(family, *gamma, sigma2=2.0 * math.pi)
+    h = spectral_density(spec, fourier_frequencies(series.n))
     return pgram.size * math.log(2.0 * math.pi * np.mean(pgram / h)) + np.sum(np.log(h))
+
+
+@pytest.mark.parametrize(
+    "family,gamma",
+    [("farima00", (0.3,)), ("farima10", (0.25, 0.4)), ("lm", (0.3,))],
+    ids=["farima00", "farima10", "lm"],
+)
+def test_whittle_fit_minimizes_public_contrast(family, gamma):
+    # the fit's own spectral shape must be the public one: a per-fit shape
+    # that drifts from spectral_density moves gamma_hat off this minimum
+    series = sim(family, gamma, 1.0, 1000, seed=83)
+    fit = fit_whittle(series, family)
+    assert fit.converged and not fit.boundary_pinned
+    at_fit = _whittle_profiled(series, fit.gamma_hat, family)
+    for j in range(len(gamma)):
+        for step in (-1e-3, 1e-3):
+            moved = np.add(fit.gamma_hat, step * np.eye(len(gamma))[j])
+            assert at_fit <= _whittle_profiled(series, tuple(moved), family), (j, step)
 
 
 @pytest.mark.parametrize("seed", [3, 5, 8])
@@ -262,13 +299,16 @@ def test_standard_errors_out_of_domain_logs_reason(caplog):
 def test_gradient_matches_finite_difference():
     series = sim("farima00", (0.3,), 1.0, 400, seed=61)
     h = 1e-6
-    for family, gamma in [("farima00", (0.22,)), ("lm", (0.31,))]:
+    for family, gamma in [("farima00", (0.22,)), ("farima10", (0.27, -0.4)), ("lm", (0.31,))]:
         grad = qmle_gradient(series, family, gamma)
-        fd = (
-            qmle_objective(series, family, (gamma[0] + h,))
-            - qmle_objective(series, family, (gamma[0] - h,))
-        ) / (2 * h)
-        assert abs(grad[0] - fd) <= 1e-5 * max(1.0, abs(fd))
+        assert grad.shape == (len(gamma),)
+        for j in range(len(gamma)):
+            step = np.eye(len(gamma))[j] * h
+            fd = (
+                qmle_objective(series, family, tuple(np.add(gamma, step)))
+                - qmle_objective(series, family, tuple(np.subtract(gamma, step)))
+            ) / (2 * h)
+            assert abs(grad[j] - fd) <= 1e-5 * max(1.0, abs(fd)), (family, j)
 
 
 def test_gradient_farima10_at_zero_memory():
@@ -358,6 +398,18 @@ def test_spectral_density_lm_polylog_oracle():
             transfer = 1.0 - mp.polylog(s, mp.exp(-1j * mp.mpf(lam))) / mp.zeta(s)
             oracle = 4.0 / (2.0 * math.pi) * float(abs(transfer)) ** -2
             assert spectral_density(spec, lam) == pytest.approx(oracle, rel=1e-12)
+
+
+def test_lm_power_table_matches_complex_powers():
+    from longmem.estimate import _LM_SERIES_TERMS, _lm_powers
+
+    lam = np.concatenate([fourier_frequencies(1000), [1e-3, 3.0, math.pi]])
+    k = np.arange(_LM_SERIES_TERMS)
+    ref = (-1j * lam[:, np.newaxis]) ** k / np.array([math.factorial(i) for i in k], dtype=float)
+    ref[:, 0] = 0.0
+    table = _lm_powers(lam)
+    assert table.shape == (lam.size, _LM_SERIES_TERMS)
+    assert np.all(np.abs(table - ref) <= 1e-14 * np.abs(ref))
 
 
 def test_spectral_density_rejects_zero():
@@ -528,7 +580,7 @@ _LM_INFORMATION_MPMATH = {
 @pytest.mark.parametrize("d", sorted(_LM_INFORMATION_MPMATH))
 def test_asymptotic_covariance_lm_matches_mpmath(d):
     mp = pytest.importorskip("mpmath")
-    from longmem.estimate import _lm_score
+    from longmem.estimate import _lm_powers, _lm_score
 
     M = asymptotic_covariance(spec_of("lm", d)).M[0, 0]
     assert M == pytest.approx(_LM_INFORMATION_MPMATH[d], rel=1e-9)
@@ -540,7 +592,9 @@ def test_asymptotic_covariance_lm_matches_mpmath(d):
                 return -2 * mp.log(abs(1 - mp.polylog(s, mp.expj(-lam)) / mp.zeta(s)))
 
             ref = -float(mp.diff(logh, mp.mpf(d)))
-            assert _lm_score(d, lam) == pytest.approx(ref, rel=1e-10), lam
+            nodes = np.array([lam])
+            score = _lm_score(d, np.log(nodes), _lm_powers(nodes))[0]
+            assert score == pytest.approx(ref, rel=1e-10), lam
 
 
 @pytest.mark.parametrize("family,d", [("farima00", 0.05), ("lm", 0.1)])
