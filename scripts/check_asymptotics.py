@@ -18,7 +18,7 @@ from longmem.montecarlo import MCCell, MCConfig, run_mc
 from longmem.simulate import GenConfig, simulate
 
 
-def clt_check(family, gamma, sigma2, n, reps, seed, workers):
+def clt_check(family, gamma, sigma2, n, reps, seed):
     config = MCConfig(
         family=family,
         cells=(MCCell(gamma=gamma, sigma2=sigma2),),
@@ -27,7 +27,7 @@ def clt_check(family, gamma, sigma2, n, reps, seed, workers):
         estimators=("qmle",),
         base_seed=seed,
     )
-    report = run_mc(config, workers=workers)
+    report = run_mc(config)
     raw = report.raw[(0, n, "qmle")]
     ok = ~np.isnan(raw[:, 0])
     spec = ModelSpec(family=family, gamma=gamma, sigma2=sigma2)
@@ -61,15 +61,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--reps", type=int, default=400)
     parser.add_argument("--n", type=int, default=2000)
-    parser.add_argument("--workers", type=int, default=4,
-                        help="accepted for compatibility; run_mc runs serially")
     parser.add_argument("--seed", type=int, default=7171)
     args = parser.parse_args(argv)
 
-    clt_check("farima00", (0.2,), 4.0, args.n, args.reps, args.seed, args.workers)
-    clt_check("lm", (0.3,), 4.0, args.n, args.reps, args.seed + 1, args.workers)
-    clt_check("farima10", (0.2, 0.5), 4.0, args.n, max(100, args.reps // 4),
-              args.seed + 2, args.workers)
+    clt_check("farima00", (0.2,), 4.0, args.n, args.reps, args.seed)
+    clt_check("lm", (0.3,), 4.0, args.n, args.reps, args.seed + 1)
+    clt_check("farima10", (0.2, 0.5), 4.0, args.n, max(100, args.reps // 4), args.seed + 2)
     mean_scaling_check(0.3, 4.0, args.reps, args.seed + 3)
     return 0
 

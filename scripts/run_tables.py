@@ -78,8 +78,6 @@ def main(argv=None) -> int:
     parser.add_argument("--table", choices=["farima", "lm", "farima10", "near-half"], action="append",
                         help="repeatable; default: all")
     parser.add_argument("--full", action="store_true", help="full scale: R=1000, n up to 10000")
-    parser.add_argument("--workers", type=int, default=4,
-                        help="accepted for compatibility; run_mc runs serially")
     parser.add_argument("--reps", type=int, default=None, help="override the replication count")
     parser.add_argument("--seed", type=int, default=20240915)
     parser.add_argument("--out-prefix", default=None, help="write <prefix>_<table>.json reports")
@@ -88,7 +86,7 @@ def main(argv=None) -> int:
     for table in args.table or ["farima", "lm", "farima10", "near-half"]:
         config = build_config(table, args.full, args.seed, args.reps)
         t0 = time.time()
-        report = run_mc(config, workers=args.workers)
+        report = run_mc(config)
         print(f"\n## Table {table} ({'full' if args.full else 'desk'} scale, "
               f"R={config.replications}, {time.time() - t0:.0f}s)\n")
         print(emit_table(report, format="markdown"))

@@ -115,10 +115,10 @@ def cmd_fit(args) -> int:
     series = _load_series(args.input)
     try:
         family = Family(args.family)
+        if args.detrend:
+            series, _, _ = detrend_linear(series)
     except ValueError as exc:
         return _fail(str(exc))
-    if args.detrend:
-        series, _, _ = detrend_linear(series)
     try:
         fit = ESTIMATORS[args.estimator](series, family, with_stderr=args.stderr)
     except ValueError as exc:
@@ -136,7 +136,7 @@ def cmd_mc(args) -> int:
         # fail before the campaign, not after it; "a" keeps an existing file
         _write(args.out, lambda path: open(path, "a").close())
     try:
-        report = run_mc(config, workers=args.workers)
+        report = run_mc(config)
     except (EmbeddingError, ValueError) as exc:
         return _fail(f"Monte Carlo campaign failed: {exc}")
     if args.out:
@@ -163,12 +163,11 @@ def cmd_analyze(args) -> int:
     series = _load_series(args.input)
     trend = None
     work = series
-    if args.detrend:
-        work, intercept, slope = detrend_linear(series)
-        trend = (intercept, slope)
-
     try:
         families = [Family(f) for f in (args.family or ["farima00", "lm"])]
+        if args.detrend:
+            work, intercept, slope = detrend_linear(series)
+            trend = (intercept, slope)
     except ValueError as exc:
         return _fail(str(exc))
     estimators = args.estimator or ["qmle"]
@@ -251,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="MCConfig JSON path")
     p.add_argument("--out", default=None, help="write the full report JSON here")
     p.add_argument("--table", default=None, choices=["csv", "markdown"])
-    p.add_argument("--workers", type=int, default=1, help="accepted; campaigns run serially")
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("blue", help="BLUE mean of a CSV series under a fixed model")

@@ -11,9 +11,10 @@
   sigma2 profiled out analytically.  Every spectral shape is in closed form:
   the LM one sums its AR weights as 1 - Li_(1+d)(e^(-i lambda)) / zeta(1+d)
   by the convergent polylogarithm series, with no truncation.  What does not
-  depend on gamma is computed once per fit: log(2 sin(lambda/2)) and
-  e^(i lambda) for FARIMA, the table of (-i lambda)^k / k! for LM, so an LM
-  evaluation is one matrix-vector product with zeta(1 + d - k).
+  depend on gamma is computed once per series length and cached:
+  log(2 sin(lambda/2)) and e^(i lambda) for FARIMA, the table of
+  (-i lambda)^k / k! for LM, so an LM evaluation is one matrix-vector
+  product with zeta(1 + d - k).
 * BLUE location estimator with Toeplitz weights, plus the asymptotic
   covariance of the QMLE (matrix M and the sigma2 block) and helper scales.
   M is the exact limit information matrix, from its spectral form: in
@@ -234,14 +235,14 @@ def fit_qmle(
     family: Family,
     bounds: tuple[tuple[float, float], ...] | None = None,
     with_stderr: bool = False,
-    mu4: float = 3.0,
 ) -> FitResult:
     """Quasi-maximum likelihood fit of (gamma, sigma2).
 
     gamma_hat minimizes qmle_objective over the (slightly shrunk) bounds and
     sigma2_hat = S_n(gamma_hat)/n.  Standard errors, when requested, come from
     the asymptotic covariance: sqrt(diag(M^-1)/n) for gamma and
-    sqrt(sigma2_hat^2 (mu4-1)/n) for sigma2.
+    sqrt(2 sigma2_hat^2 / n) for sigma2, the Gaussian mu4 = 3; call
+    standard_errors for any other mu4.
     """
     family = Family(family)
     n = series.n
@@ -282,7 +283,7 @@ def fit_qmle(
         boundary_pinned=_pinned(gamma_hat, opt_bounds),
     )
     if with_stderr:
-        result.stderr = standard_errors(family, gamma_hat, sigma2_hat, n, mu4)
+        result.stderr = standard_errors(family, gamma_hat, sigma2_hat, n)
     return result
 
 
@@ -325,7 +326,7 @@ def periodogram(series: Series) -> np.ndarray:
     if n < 4:
         raise ValueError(f"periodogram needs n >= 4, got {n}")
     centered = values - values.mean()
-    dft = np.fft.rfft(centered)
+    dft = rfft(centered)
     m = (n - 1) // 2
     return np.abs(dft[1 : m + 1]) ** 2 / (2.0 * math.pi * n)
 
@@ -364,7 +365,7 @@ def _shape_function(family: Family, lam: np.ndarray):
 
     What does not depend on gamma is computed here, once per frequency grid:
     log(lam) and the LM power table, or log(2 sin(lam/2)) and e^(i lam) for
-    FARIMA."""
+    FARIMA.  fit_whittle takes it from _whittle_shape."""
     if family is Family.LM:
         log_lam, powers = np.log(lam), _lm_powers(lam)
         return lambda gamma: np.abs(_lm_transfer(gamma[0], log_lam, powers)) ** -2
@@ -373,6 +374,14 @@ def _shape_function(family: Family, lam: np.ndarray):
         return lambda gamma: np.exp(-2.0 * gamma[0] * log_2sin)
     e = np.exp(1j * lam)
     return lambda gamma: np.exp(-2.0 * gamma[0] * log_2sin) * np.abs(1.0 - gamma[1] * e) ** -2
+
+
+@lru_cache(maxsize=8)
+def _whittle_shape(family: Family, n: int):
+    """The shape function on the Fourier frequencies of a length-n series,
+    cached per (family, n): every replication of a campaign cell, and every
+    series of the same length, reuses it."""
+    return _shape_function(family, fourier_frequencies(n))
 
 
 def _spectral_shape(family: Family, gamma, lam: np.ndarray) -> np.ndarray:
@@ -402,7 +411,6 @@ def fit_whittle(
     family: Family,
     bounds: tuple[tuple[float, float], ...] | None = None,
     with_stderr: bool = False,
-    mu4: float = 3.0,
 ) -> FitResult:
     """Whittle fit: gamma_hat minimizes the profiled periodogram contrast
     m log(sigma2_hat(gamma)) + sum_j log h_gamma(lambda_j), where
@@ -419,9 +427,8 @@ def fit_whittle(
             "the periodogram is zero at every Fourier frequency (a constant series?), "
             "so the Whittle contrast is undefined"
         )
-    lam = fourier_frequencies(n)
-    m = lam.size
-    shape = _shape_function(family, lam)
+    m = pgram.size
+    shape = _whittle_shape(family, n)
 
     def profiled(gamma) -> float:
         h = shape(gamma)
@@ -452,7 +459,7 @@ def fit_whittle(
         boundary_pinned=_pinned(gamma_hat, opt_bounds),
     )
     if with_stderr:
-        result.stderr = standard_errors(family, gamma_hat, sigma2_hat, n, mu4)
+        result.stderr = standard_errors(family, gamma_hat, sigma2_hat, n)
     return result
 
 

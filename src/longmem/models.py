@@ -11,15 +11,16 @@ weights a_0, a_1, ... have a_0 = 1 and the innovation standard deviation
 sigma enters only through simulation and the likelihood.  The autoregressive
 weights u_1, u_2, ... satisfy sum(u_k) = 1 and never depend on sigma2.
 
-All coefficient engines run in O(K) by multiplicative recursion, except the
-LM moving-average weights, which come from O(K log K) Newton series
-inversion.  Every table is returned read-only.  The module holds no state
-and every call computes afresh; the only caches, the circulant embedding
-and the truncated-ma weights, live in simulate, whose campaigns reuse them.
+All coefficient engines run in O(K) by multiplicative recursion, except two
+O(K log K) power-series products by real FFT: the LM moving-average weights
+come from Newton series inversion, the FARIMA10 ones are psi times the
+geometric series alpha^k.  Every table is returned read-only.  The module
+holds no state and every call computes afresh; the library's caches live in
+simulate and estimate, whose campaigns reuse them.
 
-Autocovariances of FARIMA10 and LM are FFT convolutions of the MA weights
-plus the i^(d-1) coefficient tail, integrated for all lags at once by one
-16-node Gauss-Jacobi rule.
+Autocovariances of FARIMA10 and LM are FFT autocorrelations of the MA
+weights plus the i^(d-1) coefficient tail, integrated for all lags at once
+by one 16-node Gauss-Jacobi rule.  Every transform goes through scipy.fft.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.signal import convolve, fftconvolve, lfilter
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import roots_sh_jacobi, zeta
 
 from .specfun import log_gamma, riemann_zeta
@@ -193,8 +194,8 @@ def _ma_coeffs_gamma(family: Family, gamma: tuple[float, ...], K: int) -> np.nda
     if family is Family.FARIMA00:
         a = _frac_diff_coeffs(-d, K)
     elif family is Family.FARIMA10:
-        psi = _frac_diff_coeffs(-d, K)
-        a = lfilter([1.0], [1.0, -gamma[1]], psi)
+        # a = psi / (1 - alpha z), a product with the series alpha^k
+        a = _series_product(_frac_diff_coeffs(-d, K), gamma[1] ** np.arange(K + 1.0), K + 1)
     else:  # LM: invert the AR polynomial 1 - sum_k u_k z^k
         a = invert_series(np.r_[1.0, -ar_coeffs_gamma(family, gamma, K)])
     return _readonly(a)
@@ -252,6 +253,13 @@ def dar_coeffs(spec: ModelSpec, K: int) -> np.ndarray:
     return dar_coeffs_gamma(spec.family, spec.gamma, K)
 
 
+def _series_product(a: np.ndarray, b: np.ndarray, size: int) -> np.ndarray:
+    """First size coefficients of the power-series product a(z) b(z), by one
+    real-FFT product at a length where the circular product is the linear one."""
+    N = next_fast_len(a.size + b.size - 1, real=True)
+    return irfft(rfft(a, N) * rfft(b, N), N)[:size]
+
+
 def invert_series(c) -> np.ndarray:
     """Multiplicative inverse of a power series, truncated at the same order.
 
@@ -259,15 +267,12 @@ def invert_series(c) -> np.ndarray:
 
     Newton iteration b <- b (2 - c b) doubles the number of correct
     coefficients per step (Brent & Kung 1978), each step taking two
-    truncated products through ``scipy.signal.convolve``.  That picks direct
-    summation for short products and FFTs for long ones, so the cost is
-    O(K log K): about 15 ms at K = 30,000, where the O(K^2) recursion
+    truncated real-FFT products, so the cost is O(K log K): about 15 ms at
+    K = 30,000, where the O(K^2) recursion
     b_k = -sum_{j=1..k} c_j b_(k-j) / c_0 takes about 0.6 s.  FFT products
-    round relative to the largest coefficients: on the LM AR polynomials
-    with d in [0.011, 0.9] and K <= 30,000, the largest relative error
-    against that recursion run in long double was 7.3e-11 (d = 0.011) and
-    at most 1.3e-12 for d >= 0.15; against the float64 recursion it was
-    1.5e-10 at worst.
+    round relative to the largest coefficients: on the LM AR polynomials at
+    K = 12,000, the largest relative error against that recursion run in
+    long double was 3.5e-11 at d = 0.011 and 9.4e-13 at d = 0.15.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim != 1 or c.size == 0:
@@ -280,8 +285,8 @@ def invert_series(c) -> np.ndarray:
         # b holds the first m coefficients, so c b = 1 + z^m e; the Newton
         # step b (2 - c b) = b - z^m b e fixes the next m of them
         m2 = min(2 * m, c.size)
-        e = convolve(c[:m2], b)[m:m2]
-        b = np.concatenate([b, -convolve(b, e)[: m2 - m]])
+        e = _series_product(c[:m2], b, m2)[m:]
+        b = np.concatenate([b, -_series_product(b, e, m2 - m)])
         m = m2
     return b
 
@@ -326,8 +331,10 @@ def _autocov_by_convolution(
     d = gamma[0]
     Ka = max(K or 0, maxlag + 10_000)
     a = _ma_coeffs_gamma(family, gamma, Ka)
-    full = fftconvolve(a, a[::-1])
-    r = full[Ka : Ka + maxlag + 1].copy()
+    # autocorrelation by |rfft|^2; N > Ka + maxlag keeps lags 0..maxlag unaliased
+    N = next_fast_len(a.size + maxlag, real=True)
+    A = rfft(a, N)
+    r = irfft(A.real**2 + A.imag**2, N)[: maxlag + 1]
     c, b = _asymptote_fit(a, d)
     r += _tail_corrections(c, b, d, Ka, maxlag)
     return r

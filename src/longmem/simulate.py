@@ -5,8 +5,9 @@ The RNG is numpy's Philox counter-based generator.  A campaign derives one
 independent stream per replication through ``np.random.SeedSequence(base,
 spawn_key=...)``, so serial and parallel runs draw identical numbers.
 
-Replications reuse the library's only caches (64 entries each): the
-circulant embedding per (spec, n) and the truncated-ma weights per (spec, K).
+Replications reuse two caches of 64 entries each: the circulant embedding
+per (spec, n) and the truncated-ma weights per (spec, K).  Every transform
+goes through scipy.fft.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import hfft, irfft, next_fast_len, rfft
 
 from .models import ModelSpec, autocovariance, ma_coeffs
 
@@ -117,18 +118,25 @@ def _next_pow2(m: int) -> int:
 
 @lru_cache(maxsize=64)
 def _embedding(spec: ModelSpec, n: int) -> tuple[np.ndarray, int]:
-    """Sqrt-eigenvalue weights of the covariance circulant, cached per (spec, n)."""
+    """Sqrt-eigenvalue weights of the covariance circulant of size M, cached
+    per (spec, n): the M/2 + 1 weights of the half spectrum, each scaled so
+    that one hfft of the weights times complex normals is a sample path."""
     M = _next_pow2(4 * n)
     r = autocovariance(spec, M // 2)
     ring = np.concatenate([r, r[-2:0:-1]])
-    ev = np.fft.fft(ring).real
+    # the ring is symmetric, so its spectrum is real and even: the half
+    # spectrum holds every eigenvalue
+    ev = rfft(ring).real
     ev_max = ev.max()
     ev_min = ev.min()
     if ev_min < -_EV_TOL * ev_max:
         raise EmbeddingError(float(ev_min), M)
-    ev = np.clip(ev, 0.0, None)
-    ev.flags.writeable = False
-    return ev, M
+    ev = np.clip(ev, 0.0, None) / (2.0 * M)
+    # the real frequencies 0 and M/2 take the whole variance on one normal
+    ev[[0, -1]] *= 2.0
+    weights = np.sqrt(ev)
+    weights.flags.writeable = False
+    return weights, M
 
 
 @lru_cache(maxsize=64)
@@ -138,18 +146,13 @@ def _ma_weights(spec: ModelSpec, K: int) -> np.ndarray:
 
 
 def _sample_exact_gaussian(spec: ModelSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    ev, M = _embedding(spec, n)
-    half = M // 2
-    g1 = rng.standard_normal(half + 1)
-    g2 = rng.standard_normal(half + 1)
-    w = np.empty(M, dtype=complex)
-    w[0] = math.sqrt(ev[0] / M) * g1[0]
-    w[half] = math.sqrt(ev[half] / M) * g1[half]
-    mid = np.sqrt(ev[1:half] / (2.0 * M))
-    w[1:half] = mid * (g1[1:half] + 1j * g2[1:half])
-    w[half + 1 :] = np.conj(w[half - 1 : 0 : -1])
-    z = np.fft.fft(w)
-    return z[:n].real + spec.mu
+    weights, M = _embedding(spec, n)
+    g1 = rng.standard_normal(weights.size)
+    g2 = rng.standard_normal(weights.size)
+    # hfft reads the half spectrum as Hermitian and drops the imaginary parts
+    # at frequencies 0 and M/2
+    z = hfft(weights * (g1 + 1j * g2), M)
+    return z[:n] + spec.mu
 
 
 def _sample_truncated_ma(spec: ModelSpec, n: int, cfg: GenConfig, rng: np.random.Generator) -> np.ndarray:
@@ -158,7 +161,10 @@ def _sample_truncated_ma(spec: ModelSpec, n: int, cfg: GenConfig, rng: np.random
         raise ValueError(f"truncated-ma requires K >= n, got K={K}, n={n}")
     a = _ma_weights(spec, K)
     eps = rng.standard_normal(n + K)
-    x = fftconvolve(eps, a, mode="valid")  # x[t] = sum_i a_i eps_{t-i}, all K + 1 terms
+    # x[t] = sum_i a_i eps_{t-i}: the window [K, K + n) of the product holds
+    # the outputs with all K + 1 terms
+    N = next_fast_len(eps.size + a.size - 1, real=True)
+    x = irfft(rfft(eps, N) * rfft(a, N), N)[K : K + n]
     return spec.sigma * x + spec.mu
 
 
@@ -166,11 +172,12 @@ def simulate(spec: ModelSpec, n: int, cfg: GenConfig) -> Series:
     """Simulate a trajectory of length n from the given model.
 
     exact-gaussian embeds the autocovariance ring in a circulant of size
-    next_pow2(4n) and synthesizes a stationary Gaussian path with exactly the
-    target covariance; truncated-ma filters n + K white-noise draws through
-    the first K + 1 moving-average weights, so every output value is a full
-    window of K + 1 terms and no burn-in is needed.  Identical (spec, n, cfg)
-    always yields bit-identical output.
+    M = next_pow2(4n) and synthesizes a stationary Gaussian path with exactly
+    the target covariance, as one hfft of M/2 + 1 complex normals scaled by
+    the square-root eigenvalues; truncated-ma filters n + K white-noise draws
+    through the first K + 1 moving-average weights by one real-FFT product,
+    so every output value is a full window of K + 1 terms and no burn-in is
+    needed.  Identical (spec, n, cfg) always yields bit-identical output.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")

@@ -1,9 +1,14 @@
 import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import longmem
 from longmem.cli import detrend_linear, main
 from longmem.estimate import blue_mean, fit_qmle
 from longmem.models import ModelSpec
@@ -356,6 +361,29 @@ def test_cli_exit_codes(tmp_path):
     assert run_cli("analyze", str(good), "--family", "nosuch") == 1
     assert run_cli("simulate", "--n", "100", "--d", "0.7") == 1
     assert run_cli("simulate", "--n", "100", "--d", "0.2", "--sigma2", "-1") == 1
+
+
+@pytest.mark.parametrize("command", ["fit", "analyze"])
+def test_cli_detrend_of_a_too_short_series_exits_with_message(tmp_path, capsys, command):
+    two = tmp_path / "two.csv"
+    two.write_text("x\n1.0\n2.0\n")
+    assert run_cli(command, str(two), "--detrend") == 1
+    err = capsys.readouterr().err
+    assert any(line.startswith("error: ") for line in err.splitlines())
+    assert "Traceback" not in err
+
+
+def test_cli_import_loads_neither_scipy_signal_nor_scipy_stats():
+    # scipy.signal pulls in scipy.stats, which every fresh process would pay
+    # for at start-up
+    code = (
+        "import sys, longmem.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.signal', 'scipy.stats'))))"
+    )
+    path = [str(Path(longmem.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("command", ["simulate", "fit", "blue", "analyze", "mc"])

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -445,6 +446,22 @@ def test_whittle_lm_family():
     assert abs(fit.gamma_hat[0] - 0.3) < 0.1
     with pytest.raises(ValueError, match="d in \\(0, 1\\)"):
         fit_whittle(series, "lm", bounds=((-0.3, -0.1),))
+
+
+def test_lm_whittle_fits_of_one_length_build_the_power_table_once(monkeypatch):
+    estimate = importlib.import_module("longmem.estimate")
+    estimate._whittle_shape.cache_clear()
+    calls = []
+    lm_powers = estimate._lm_powers
+
+    def counting(lam):
+        calls.append(lam.size)
+        return lm_powers(lam)
+
+    monkeypatch.setattr(estimate, "_lm_powers", counting)
+    fits = [fit_whittle(sim("lm", (0.25,), 1.0, 500, seed=seed), "lm") for seed in (3, 4)]
+    assert calls == [249]
+    assert fits[0].gamma_hat != fits[1].gamma_hat
 
 
 @pytest.mark.parametrize("family", ["farima00", "farima10", "lm"])

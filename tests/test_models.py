@@ -257,6 +257,17 @@ def test_invert_rejects_zero_leading_coefficient():
         invert_series([0.0, 1.0])
 
 
+@pytest.mark.parametrize("alpha", [-0.9, 0.5, 0.95])
+def test_farima10_ma_weights_match_ar1_filter(alpha):
+    # reference: psi filtered by 1 / (1 - alpha z) as a recursion
+    from scipy.signal import lfilter
+
+    K = 30_000
+    psi = ma_coeffs(spec_of("farima00", 0.3), K)
+    ref = lfilter([1.0], [1.0, -alpha], psi)
+    assert np.max(np.abs(ma_coeffs(spec_of("farima10", 0.3, alpha), K) - ref)) <= 2e-15
+
+
 @pytest.mark.parametrize(
     "family,gamma",
     [("farima00", (0.3,)), ("farima10", (0.2, 0.5)), ("farima10", (0.4, -0.7)), ("lm", (0.15,))],

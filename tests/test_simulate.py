@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from longmem.models import ModelSpec, autocovariance
+from longmem.models import ModelSpec, autocovariance, ma_coeffs
 from longmem.simulate import (
     GenConfig,
     Series,
+    rng_from_seed,
     series_from_csv,
     series_to_csv,
     simulate,
@@ -61,6 +62,47 @@ def test_simulate_truncated_ma_deterministic_and_k_check():
     assert np.array_equal(s1.values, s2.values)
     with pytest.raises(ValueError):
         simulate(spec, 200, GenConfig(generator="truncated-ma", seed=3, K=100))
+
+
+@pytest.mark.parametrize(
+    "family,gamma", [("farima00", (0.3,)), ("farima10", (0.2, 0.5)), ("lm", (0.3,))]
+)
+def test_truncated_ma_matches_valid_convolution(family, gamma):
+    # reference: the valid window of a direct convolution of the same draws
+    from scipy.signal import fftconvolve
+
+    spec = ModelSpec(family=family, gamma=gamma, sigma2=2.0, mu=1.5)
+    n, K = 400, 4000
+    x = simulate(spec, n, GenConfig(generator="truncated-ma", seed=8, K=K)).values
+    eps = rng_from_seed(8).standard_normal(n + K)
+    ref = spec.sigma * fftconvolve(eps, ma_coeffs(spec, K), mode="valid") + spec.mu
+    assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(x))
+
+
+def _hermitian_circulant_sample(spec, n, seed):
+    # the exact-Gaussian sampler written out: a full Hermitian vector of
+    # sqrt-eigenvalues times complex normals, and one complex FFT
+    M = 1 << max(int(np.ceil(np.log2(4 * n))), 3)
+    half = M // 2
+    r = autocovariance(spec, half)
+    ev = np.clip(np.fft.fft(np.concatenate([r, r[-2:0:-1]])).real, 0.0, None)
+    rng = rng_from_seed(seed)
+    g1 = rng.standard_normal(half + 1)
+    g2 = rng.standard_normal(half + 1)
+    w = np.empty(M, dtype=complex)
+    w[0] = np.sqrt(ev[0] / M) * g1[0]
+    w[half] = np.sqrt(ev[half] / M) * g1[half]
+    w[1:half] = np.sqrt(ev[1:half] / (2.0 * M)) * (g1[1:half] + 1j * g2[1:half])
+    w[half + 1 :] = np.conj(w[half - 1 : 0 : -1])
+    return np.fft.fft(w)[:n].real + spec.mu
+
+
+@pytest.mark.parametrize("n", [100, 1000])
+def test_exact_gaussian_matches_hermitian_construction(n):
+    spec = ModelSpec(family="farima00", gamma=(0.3,), sigma2=2.0, mu=-0.5)
+    x = simulate(spec, n, GenConfig(seed=21)).values
+    ref = _hermitian_circulant_sample(spec, n, 21)
+    assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(x))
 
 
 def test_alpha_zero_matches_farima00_exactly():
