@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -132,12 +133,15 @@ def cmd_mc(args) -> int:
         config = MCConfig.from_json(args.config)
     except (OSError, ValueError) as exc:
         return _fail(f"bad MC config: {exc}")
+    created = bool(args.out) and not Path(args.out).exists()
     if args.out:
         # fail before the campaign, not after it; "a" keeps an existing file
         _write(args.out, lambda path: open(path, "a").close())
     try:
         report = run_mc(config)
     except (EmbeddingError, ValueError) as exc:
+        if created:  # leave no empty report behind
+            Path(args.out).unlink(missing_ok=True)
         return _fail(f"Monte Carlo campaign failed: {exc}")
     if args.out:
         _write(args.out, report.to_json)
@@ -271,11 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 1
+    with warnings.catch_warnings():
+        # library warnings become one line each, like the error: lines
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except SystemExit as exc:
+            code = exc.code
+            return code if isinstance(code, int) else 1
 
 
 if __name__ == "__main__":

@@ -18,9 +18,10 @@ geometric series alpha^k.  Every table is returned read-only.  The module
 holds no state and every call computes afresh; the library's caches live in
 simulate and estimate, whose campaigns reuse them.
 
-Autocovariances of FARIMA10 and LM are FFT autocorrelations of the MA
-weights plus the i^(d-1) coefficient tail, integrated for all lags at once
-by one 16-node Gauss-Jacobi rule.  Every transform goes through scipy.fft.
+Autocovariances have one exact route per family: the FARIMA00 closed form,
+that form filtered by the FARIMA10 AR(1) factor, and for LM the FFT
+autocorrelation of the MA weights plus the tail of their known expansion.
+Every transform goes through scipy.fft.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.special import roots_sh_jacobi, zeta
+from scipy.special import rgamma, roots_sh_jacobi, zeta
 
 from .specfun import log_gamma, riemann_zeta
 
@@ -291,81 +292,90 @@ def invert_series(c) -> np.ndarray:
     return b
 
 
-def _asymptote_fit(a: np.ndarray, d: float) -> tuple[float, float]:
-    """Fit a_i = (c + b/i) i^(d-1) over the last half of the table."""
-    Ka = a.size - 1
-    idx = np.unique(np.geomspace(max(Ka // 2, 2), Ka, 60).astype(int))
-    y = a[idx] * idx ** (1.0 - d)
-    design = np.vstack([np.ones(idx.size), 1.0 / idx]).T
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    return float(coef[0]), float(coef[1])
-
-
-# nodes of the tail rule; 16 keep it within 5e-13 of r(0) of per-lag
-# adaptive quadrature for d <= 0.489
+# nodes per tail rule: within 3e-13 of r(0) of per-lag quadrature for d <= 0.489
 _TAIL_NODES = 16
 
 
-def _tail_corrections(c: float, b: float, d: float, Ka: int, maxlag: int) -> np.ndarray:
-    """Tail sum_{i > Ka - k} (c + b/i)(c + b/(i+k)) i^(d-1) (i+k)^(d-1) for
+def _tail_corrections(C, beta, Ka: int, maxlag: int) -> np.ndarray:
+    """Tail sum_{i > Ka - k} psi_i psi_(i+k) of psi_i = sum_j C_j i^beta_j for
     every lag k = 0..maxlag, by the midpoint rule as an integral from
-    L = Ka - k + 1/2.  On x = L/t the integrand is t^(-2d) times the smooth
-    (c + bt/L)(c + bt/(L+kt)) L^d (L+kt)^(d-1), so one shifted Gauss-Jacobi
-    rule with weight t^(-2d) on [0, 1] serves every lag at once."""
-    t, w = roots_sh_jacobi(_TAIL_NODES, 1.0 - 2.0 * d, 1.0 - 2.0 * d)
+    L = Ka - k + 1/2.  On x = L/t the pair (p, q) is t^(-beta_p-beta_q-2) times
+    the smooth L^(beta_p+beta_q+1) (1 + kt/L)^beta_q; beta steps evenly, so the
+    pairs with equal p + q share one shifted Gauss-Jacobi rule for all lags."""
     k = np.arange(maxlag + 1.0)
     L = Ka - k + 0.5
-    out = np.zeros(maxlag + 1)
-    # one vector update per node keeps memory at O(maxlag)
-    for tj, wj in zip(t, w):
-        Lk = L + k * tj
-        out += wj * (c + b * tj / L) * (c + b * tj / Lk) * L**d * Lk ** (d - 1.0)
+    n, out = len(C), np.zeros(maxlag + 1)
+    for s in range(2 * n - 1):
+        qs = range(max(0, s - n + 1), min(s, n - 1) + 1)
+        e = beta[s - qs[0]] + beta[qs[0]]
+        t, w = roots_sh_jacobi(_TAIL_NODES, -1.0 - e, -1.0 - e)
+        rho = np.log(1.0 + (k / L)[:, np.newaxis] * t)
+        out += L ** (e + 1.0) * sum(C[s - q] * C[q] * (np.exp(beta[q] * rho) @ w) for q in qs)
     return out
+
+
+def _weight_expansion(family: Family, d: float) -> tuple[np.ndarray, np.ndarray]:
+    """(C_j, beta_j) of the MA weights' expansion psi_i ~ sum_j C_j i^beta_j."""
+    if family is Family.FARIMA00:
+        # Gamma(i+d) / (Gamma(d) Gamma(i+1)) = i^(d-1) (1 + d(d-1)/(2i) + ...) / Gamma(d)
+        return np.array([1.0, 0.5 * d * (d - 1.0)]) * rgamma(d), np.array([d - 1.0, d - 2.0])
+    # LM, with w = -log z: T(z) = a w^d + b w + O(w^2), so 1/T has the singular
+    # terms (-b)^(j-1) a^(-j) w^(j(1-d)-1), whose coefficients are exactly
+    # C_j i^(j(d-1)) (Flajolet & Odlyzko 1990); no i^(d-2) term arises
+    a, b = math.exp(log_gamma(1.0 - d)) / (d * zeta(1.0 + d)), zeta(d) / zeta(1.0 + d)
+    j = np.arange(1.0, 4.0)
+    return (-b) ** (j - 1.0) / a**j * rgamma(j * (d - 1.0) + 1.0), j * (d - 1.0)
 
 
 def _autocov_by_convolution(
     family: Family, gamma: tuple[float, ...], maxlag: int, K: int | None = None
 ) -> np.ndarray:
-    """r(k) = sum_i a_i a_{i+k} truncated at K, plus the analytic correction
-    for the hyperbolic tail (unit-noise scale)."""
-    d = gamma[0]
+    """r(k) = sum_i a_i a_{i+k} truncated at K, plus the tail of the weights'
+    expansion (unit-noise scale): the LM route, and the reference that tests
+    hold the FARIMA00 closed form to."""
     Ka = max(K or 0, maxlag + 10_000)
-    a = _ma_coeffs_gamma(family, gamma, Ka)
     # autocorrelation by |rfft|^2; N > Ka + maxlag keeps lags 0..maxlag unaliased
-    N = next_fast_len(a.size + maxlag, real=True)
-    A = rfft(a, N)
+    N = next_fast_len(Ka + 1 + maxlag, real=True)
+    A = rfft(_ma_coeffs_gamma(family, gamma, Ka), N)
     r = irfft(A.real**2 + A.imag**2, N)[: maxlag + 1]
-    c, b = _asymptote_fit(a, d)
-    r += _tail_corrections(c, b, d, Ka, maxlag)
-    return r
+    return r + _tail_corrections(*_weight_expansion(family, gamma[0]), Ka, maxlag)
+
+
+def _farima00_autocov(d: float, maxlag: int) -> np.ndarray:
+    """Closed form r(0) = Gamma(1-2d) / Gamma(1-d)^2, r(k) = r(k-1) (k-1+d)/(k-d)."""
+    r0 = math.exp(log_gamma(1.0 - 2.0 * d) - 2.0 * log_gamma(1.0 - d))
+    k = np.arange(1.0, maxlag + 1)
+    return r0 * np.r_[1.0, np.cumprod((k - 1.0 + d) / (k - d))]
+
+
+def _farima10_autocov(d: float, alpha: float, maxlag: int) -> np.ndarray:
+    """X = Y / (1 - alpha B) with Y fractional noise: r_X(k) is the real-FFT
+    product sum_m alpha^|m| r_Y(k+m) / (1 - alpha^2), to |alpha|^M <= 1e-18."""
+    M = math.ceil(math.log(1e-18) / math.log(abs(alpha))) if alpha else 0
+    if M > 10**6:
+        raise ValueError(f"alpha={alpha}: FARIMA10 autocovariance needs over 10^6 AR(1) terms")
+    y = _farima00_autocov(d, maxlag + M)[np.abs(np.arange(-M, maxlag + M + 1))]
+    g = alpha ** np.abs(np.arange(-M, M + 1.0))
+    return _series_product(y, g, maxlag + 2 * M + 1)[2 * M :] / (1.0 - alpha**2)
 
 
 def autocovariance(spec: ModelSpec, maxlag: int) -> np.ndarray:
     """Autocovariances r_X(0..maxlag), including the sigma2 scale.
 
-    FARIMA00 uses the stable closed-form recursion; other families use the
-    MA-weight convolution truncated at K = maxlag + 10000 plus the sum over
-    the i^(d-1) tail of the weights, integrated by a 16-node Gauss-Jacobi
-    rule with weight t^(-2d).  On FARIMA00, where the closed form is exact,
-    this route is within 2.3e-11 of r(0) for d <= 0.489 and maxlag <= 19,999.
-    Against adaptive quadrature at each lag, the rule is within 5e-13 of
-    r(0) for d in [0.011, 0.489].  LM is biased beyond that: the tail fit
-    misses the i^(2d-2) term of its weights, so against a quadrature of the
-    exact spectral density every lag is low by the same 1.5e-11 of r(0) at
-    d = 0.1, 4.0e-7 at 0.3, 7.8e-5 at 0.45 and 1.0e-4 at 0.489 (maxlag 2048).
+    FARIMA00 is the closed-form recursion.  FARIMA10 filters it through the
+    AR(1) factor; |alpha| above about 0.99996 (custom gamma_bounds only) would
+    need over 10^6 terms and raises ValueError.  LM is the FFT autocorrelation
+    of the MA weights to K = maxlag + 10000 plus the tail of their three-term
+    expansion.  Against quadrature of the exact spectral density, FARIMA10 is
+    within 3e-14 of r(0) and LM within 5e-11 for d <= 0.489.
     """
     if maxlag < 0:
         raise ValueError(f"maxlag must be >= 0, got {maxlag}")
     maxlag = int(maxlag)
     if spec.family is Family.FARIMA00:
-        # closed form r(k) = r(k-1) (k-1+d)/(k-d); validated against the
-        # MA-convolution in the test suite, not assumed
-        d = spec.d
-        r = np.empty(maxlag + 1)
-        r[0] = math.exp(log_gamma(1.0 - 2.0 * d) - 2.0 * log_gamma(1.0 - d))
-        if maxlag >= 1:
-            k = np.arange(1.0, maxlag + 1)
-            r[1:] = r[0] * np.cumprod((k - 1.0 + d) / (k - d))
+        r = _farima00_autocov(spec.d, maxlag)
+    elif spec.family is Family.FARIMA10:
+        r = _farima10_autocov(spec.d, spec.alpha, maxlag)
     else:
         r = _autocov_by_convolution(spec.family, spec.gamma, maxlag)
     return _readonly(spec.sigma2 * r)

@@ -19,6 +19,7 @@ from longmem.simulate import (
     series_from_csv,
     series_to_csv,
     simulate,
+    white_noise,
 )
 
 
@@ -425,6 +426,44 @@ def test_cli_mc_checks_out_before_the_campaign(tmp_path, capsys, monkeypatch):
     assert run_cli("mc", "--config", str(config), "--out", str(existing)) == 1
     assert len(calls) == 1
     assert existing.read_text() == "old report\n"
+
+
+def test_cli_mc_failed_campaign_leaves_no_new_out_file(tmp_path, capsys, monkeypatch):
+    def failing_run_mc(config, workers=1):
+        raise ValueError("campaign stopped")
+
+    monkeypatch.setattr(importlib.import_module("longmem.cli"), "run_mc", failing_run_mc)
+    config = _write_mc_config(tmp_path / "mc.json", replications=2)
+    new = tmp_path / "new.json"
+    assert run_cli("mc", "--config", str(config), "--out", str(new)) == 1
+    assert capsys.readouterr().err.startswith("error: Monte Carlo campaign failed")
+    assert not new.exists()
+    # a file that was there before the command keeps its bytes
+    existing = tmp_path / "old.json"
+    existing.write_bytes(b"old report\n")
+    assert run_cli("mc", "--config", str(config), "--out", str(existing)) == 1
+    assert existing.read_bytes() == b"old report\n"
+
+
+@pytest.mark.parametrize(
+    "argv, messages",
+    [
+        (["fit"], ["QMLE"]),
+        (["fit", "--estimator", "whittle"], ["Whittle"]),
+        (["analyze", "--estimator", "qmle", "--estimator", "whittle"], ["QMLE", "Whittle"]),
+    ],
+    ids=["fit-qmle", "fit-whittle", "analyze"],
+)
+def test_cli_prints_library_warnings_as_warning_lines(tmp_path, capsys, argv, messages):
+    path = tmp_path / "ten.csv"
+    series_to_csv(Series(values=white_noise(10, seed=5)), path)
+    code = run_cli(argv[0], str(path), *argv[1:])
+    captured = capsys.readouterr()
+    json.loads(captured.out)  # stdout still holds the JSON result alone
+    assert code in (0, 2)
+    lines = captured.err.splitlines()
+    expected = {f"warning: n=10 is small; {m} asymptotics are unreliable" for m in messages}
+    assert set(lines) == expected, captured.err
 
 
 def test_cli_simulate_stdout(capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from longmem import models
 from longmem.estimate import _spectral_shape
 from longmem.models import (
     Family,
@@ -19,10 +20,10 @@ from longmem.models import (
     ma_coeffs,
 )
 from longmem.models import (
-    _asymptote_fit,
     _autocov_by_convolution,
     _ma_coeffs_gamma,
     _tail_corrections,
+    _weight_expansion,
 )
 from longmem.specfun import log_gamma, riemann_zeta
 
@@ -455,28 +456,38 @@ def test_autocov_convolution_route_matches_closed_form():
         assert np.max(np.abs(conv - closed)) / closed[0] < 1e-9, d
 
 
-@pytest.mark.parametrize("family, gamma", [("lm", (0.489,)), ("farima10", (0.489, 0.95))])
+@pytest.mark.parametrize("family, gamma", [("lm", (0.489,)), ("farima00", (0.489,))])
 def test_tail_corrections_match_per_lag_quadrature(family, gamma):
-    # reference: adaptive quadrature of the tail integral at each lag, on
-    # x = L/t with L = Ka - k + 1/2 (midpoint rule for the sum over i > Ka - k)
+    # reference: adaptive quadrature of the tail integral of the multi-term
+    # expansion psi_i = sum_j C_j i^beta_j at each lag, on x = L/t with
+    # L = Ka - k + 1/2 (midpoint rule for the sum over i > Ka - k)
     maxlag = 4096
     Ka = maxlag + 10_000
-    d = gamma[0]
+    C, beta = _weight_expansion(Family(family), gamma[0])
+    tail = _tail_corrections(C, beta, Ka, maxlag)
     a = _ma_coeffs_gamma(Family(family), gamma, Ka)
-    c, b = _asymptote_fit(a, d)
-    tail = _tail_corrections(c, b, d, Ka, maxlag)
     r0 = float(a @ a) + tail[0]
     for k in (0, 1, 8, 3940, 4096):
         L = Ka - k + 0.5
 
         def integrand(t):
             x = L / t
-            return (
-                (c + b / x) * (c + b / (x + k)) * x ** (d - 1.0) * (x + k) ** (d - 1.0) * L / t**2
-            )
+            psi_x = sum(c * x**b for c, b in zip(C, beta))
+            psi_xk = sum(c * (x + k) ** b for c, b in zip(C, beta))
+            return psi_x * psi_xk * L / t**2
 
         ref, _ = quad(integrand, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=400)
         assert abs(tail[k] - ref) <= 1e-10 * r0, k
+
+
+@pytest.mark.parametrize("d", [0.1, 0.3, 0.45, 0.489])
+def test_lm_ma_weights_match_singular_expansion(d):
+    # the three-term expansion of the LM weights against Newton-inverted ones
+    # far out; the first term alone is 3e-6 to 1.2e-4 off at i = 10^5
+    i = 100_000
+    psi = ma_coeffs(spec_of("lm", d), 2**17)[i]
+    C, beta = _weight_expansion(Family.LM, d)
+    assert np.sum(C * float(i) ** beta) == pytest.approx(psi, rel=1e-9)
 
 
 def test_coefficient_tables_are_readonly():
@@ -491,13 +502,14 @@ def test_coefficient_tables_are_readonly():
                 table[0] = 2.0
 
 
-def _lm_autocovariance_by_quadrature(d: float, k: int) -> float:
-    """r(k) = (1/pi) int_0^pi h(lambda) cos(k lambda) d lambda on the exact LM
+def _autocovariance_by_quadrature(family, gamma, k: int) -> float:
+    """r(k) = (1/pi) int_0^pi h(lambda) cos(k lambda) d lambda on the exact
     spectral shape, with the lambda^(-2d) pole taken into the QAWS weight."""
+    d = gamma[0]
 
     def smooth(lam):
         lam = max(lam, 1e-300)  # QAWS may sample the endpoint; h lam^(2d) is finite there
-        h = _spectral_shape(Family.LM, (d,), np.array([lam]))[0]
+        h = _spectral_shape(Family(family), gamma, np.array([lam]))[0]
         return h * lam ** (2.0 * d) * math.cos(k * lam)
 
     val, _ = quad(
@@ -506,27 +518,40 @@ def _lm_autocovariance_by_quadrature(d: float, k: int) -> float:
     return val / math.pi
 
 
-@pytest.mark.parametrize(
-    "d",
-    [
-        0.1,
-        pytest.param(
-            0.3,
-            marks=pytest.mark.xfail(
-                strict=True, reason="LM tail fit misses the i^(2d-2) term: error -4.0e-7 of r(0)"
-            ),
-        ),
-        pytest.param(
-            0.45,
-            marks=pytest.mark.xfail(
-                strict=True, reason="LM tail fit misses the i^(2d-2) term: error -7.8e-5 of r(0)"
-            ),
-        ),
-    ],
-)
+@pytest.mark.parametrize("d", [0.1, 0.3, 0.45, 0.489])
 def test_lm_autocovariance_matches_spectral_quadrature(d):
     # the error is the same fraction of r(0) at lags 0, 1, 10 and 100, so
     # two lags stand for all of them
     r = autocovariance(spec_of("lm", d), 2048)
     for k in (0, 10):
-        assert abs(r[k] - _lm_autocovariance_by_quadrature(d, k)) <= 1e-10 * r[0], k
+        assert abs(r[k] - _autocovariance_by_quadrature("lm", (d,), k)) <= 1e-10 * r[0], k
+
+
+@pytest.mark.parametrize("d, alpha", [(0.45, 0.95), (0.3, 0.99), (0.489, -0.9)])
+def test_farima10_autocovariance_matches_spectral_quadrature(d, alpha):
+    r = autocovariance(spec_of("farima10", d, alpha), 64)
+    for k in (0, 1, 64):
+        ref = _autocovariance_by_quadrature("farima10", (d, alpha), k)
+        assert abs(r[k] - ref) <= 1e-10 * r[0], k
+
+
+@pytest.mark.parametrize("d", [0.1, 0.3, 0.45])
+def test_farima10_autocovariance_at_alpha_zero_is_farima00(d):
+    r10 = autocovariance(spec_of("farima10", d, 0.0), 4096)
+    r00 = autocovariance(spec_of("farima00", d), 4096)
+    assert np.max(np.abs(r10 - r00)) <= 1e-14 * r00[0]
+
+
+def test_farima10_autocovariance_rejects_alpha_too_close_to_one():
+    spec = spec_of("farima10", 0.3, 0.99999, gamma_bounds=((0.01, 0.49), (-0.999999, 0.999999)))
+    with pytest.raises(ValueError, match="alpha"):
+        autocovariance(spec, 16)
+
+
+def test_farima10_autocovariance_builds_no_ma_table(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("FARIMA10 autocovariance built an MA table")
+
+    monkeypatch.setattr(models, "_ma_coeffs_gamma", forbidden)
+    r = autocovariance(spec_of("farima10", 0.3, 0.95), 4096)
+    assert np.all(np.isfinite(r))
