@@ -7,6 +7,8 @@
   quasi-maximum likelihood estimator with sigma2 profiled out.  All n
   predictors are one FFT product: the series is transformed once per fit,
   and each evaluation costs one rfft of the AR weights and one irfft.
+  Series fitted together share them: one 2-D AR-weight build, one rfft and
+  one irfft over the rows per search step.
 * Whittle: frequency-domain contrast on the mean-removed periodogram,
   sigma2 profiled out analytically.  Every spectral shape is in closed form:
   the LM one sums its AR weights as 1 - Li_(1+d)(e^(-i lambda)) / zeta(1+d)
@@ -20,10 +22,13 @@
   M is the exact limit information matrix, from its spectral form: in
   closed form for FARIMA, by one fixed Gauss-Laguerre rule for LM.
 
-Every fit is one bounded golden-section/parabolic search over d.  For
-FARIMA10 the contrast at each d is minimized over alpha first: in closed form
-for the QMLE, whose S_n is quadratic in alpha, and by an inner bounded search
-for Whittle.
+Every fit is one bounded golden-section/parabolic search over d: a port of
+scipy.optimize's bounded minimize_scalar (Brent 1973) as a generator, which
+yields each d and is sent its contrast, so that fit_batch can run the
+searches of many series in lockstep; fit_qmle and fit_whittle are its
+one-series case.  For FARIMA10 the contrast at each d is minimized over
+alpha first: in closed form for the QMLE, whose S_n is quadratic in alpha,
+and by an inner bounded search, driven serially, for Whittle.
 """
 
 from __future__ import annotations
@@ -38,13 +43,13 @@ from functools import lru_cache
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import solve_toeplitz
-from scipy.optimize import minimize_scalar
 from scipy.special import digamma, roots_laguerre, zeta
 from scipy.special import gamma as gamma_fn
 
 from .models import (
     Family,
     ModelSpec,
+    ar_coeffs_batch,
     ar_coeffs_gamma,
     autocovariance,
     dar_coeffs_gamma,
@@ -65,6 +70,7 @@ __all__ = [
     "qmle_objective",
     "qmle_gradient",
     "quasi_loglik",
+    "fit_batch",
     "fit_qmle",
     "standard_errors",
     "periodogram",
@@ -137,17 +143,31 @@ class AsymptoticInfo:
 # ---------------------------------------------------------------------------
 
 
-def _prediction_filter(values: np.ndarray):
-    """u -> (sum_{i=1}^{t-1} u_i X_{t-i})_{t=1..n} for weights u_1..u_(n-1).
+def _transform_length(n: int) -> int:
+    """N >= 2n - 1, so that the circular product of length N is the linear
+    one.  It is the length fftconvolve(X, [0, u]) would choose, so the
+    predictors are the values it gives."""
+    return next_fast_len(2 * n - 1, real=True)
 
-    rfft(X, N) is taken once, with N >= 2n - 1 so that the circular product
-    is the linear one; each call then costs one rfft of the weights and one
-    irfft.  N is the length fftconvolve(X, [0, u]) would choose, so the
-    values are the ones it gives."""
-    n = values.size
-    N = next_fast_len(2 * n - 1, real=True)
+
+def _predict(X: np.ndarray, u: np.ndarray, N: int) -> np.ndarray:
+    """(sum_{i=1}^{t-1} u_i X_{t-i})_{t=1..n} from X = rfft(values, N) and the
+    weights u_1..u_(n-1): one rfft of the weights and one irfft.  X and u
+    are one series or rows of them; each row's values equal its one-row
+    transform bit for bit.  np.multiply, not *, so that numpy never writes
+    the product into a temporary operand, whose rounding can differ."""
+    n = u.shape[-1] + 1
+    padded = np.zeros(u.shape[:-1] + (n,))
+    padded[..., 1:] = u
+    return irfft(np.multiply(X, rfft(padded, N, axis=-1)), N, axis=-1)[..., :n]
+
+
+def _prediction_filter(values: np.ndarray):
+    """u -> (sum_{i=1}^{t-1} u_i X_{t-i})_{t=1..n} for weights u_1..u_(n-1),
+    with rfft(X, N) taken once."""
+    N = _transform_length(values.size)
     X = rfft(values, N)
-    return lambda u: irfft(X * rfft(np.r_[0.0, u], N), N)[:n]
+    return lambda u: _predict(X, u, N)
 
 
 def predictors(values: np.ndarray, family: Family, gamma: tuple[float, ...]) -> np.ndarray:
@@ -191,100 +211,6 @@ def quasi_loglik(series: Series, family: Family, gamma, sigma2: float) -> float:
     n = series.n
     s = qmle_objective(series, family, gamma)
     return -0.5 * (n * math.log(sigma2) + s / sigma2)
-
-
-def _fit_bounds(
-    family: Family, bounds: tuple[tuple[float, float], ...] | None
-) -> tuple[tuple[float, float], ...]:
-    if bounds is None:
-        bounds = default_gamma_bounds(family)
-    return tuple((lo + _BOUND_MARGIN, hi - _BOUND_MARGIN) for lo, hi in bounds)
-
-
-def _pinned(gamma: tuple[float, ...], bounds) -> bool:
-    return any(
-        g - lo < _PINNED_TOL or hi - g < _PINNED_TOL for g, (lo, hi) in zip(gamma, bounds)
-    )
-
-
-def _bounded_search(fun, bounds):
-    return minimize_scalar(fun, bounds=bounds, method="bounded", options={"xatol": _XATOL_1D})
-
-
-def _minimize_gamma(contrast, bounds) -> tuple[tuple[float, ...], float, int, bool]:
-    """Bounded golden-section/parabolic search over d, shared by every family
-    and both contrasts.  contrast(d) returns (value, gamma, nfev, ok): gamma
-    is (d,), or (d, alpha) with the alpha that minimizes the contrast at that
-    d; nfev counts the contrast evaluations behind it and ok says whether
-    that minimization over alpha succeeded.  The fit converged when the search
-    over d and the minimization at d_hat both did."""
-    evals = []
-
-    def value(d):
-        evals.append((d, contrast(float(d))))
-        return evals[-1][1][0]
-
-    res = _bounded_search(value, bounds[0])
-    s_min, gamma, _, ok = next(e for d, e in evals if d == res.x)
-    nfev = sum(e[2] for _, e in evals)
-    return gamma, s_min, nfev, bool(res.success) and ok
-
-
-def fit_qmle(
-    series: Series,
-    family: Family,
-    bounds: tuple[tuple[float, float], ...] | None = None,
-    with_stderr: bool = False,
-) -> FitResult:
-    """Quasi-maximum likelihood fit of (gamma, sigma2).
-
-    gamma_hat minimizes qmle_objective over the (slightly shrunk) bounds and
-    sigma2_hat = S_n(gamma_hat)/n.  Standard errors, when requested, come from
-    the asymptotic covariance: sqrt(diag(M^-1)/n) for gamma and
-    sqrt(2 sigma2_hat^2 / n) for sigma2, the Gaussian mu4 = 3; call
-    standard_errors for any other mu4.
-    """
-    family = Family(family)
-    n = series.n
-    if n < 2:
-        raise ValueError(f"need n >= 2 observations, got {n}")
-    if n < 30:
-        warnings.warn(f"n={n} is small; QMLE asymptotics are unreliable", stacklevel=2)
-    opt_bounds = _fit_bounds(family, bounds)
-    values = series.values
-    predict = _prediction_filter(values)
-
-    def residual(fam, d):
-        return values - predict(ar_coeffs_gamma(fam, (d,), n - 1))
-
-    def contrast(d):
-        if family is not Family.FARIMA10:
-            resid = residual(family, d)
-            return float(np.dot(resid, resid)), (d,), 1, True
-        # the residual of (1 - z)^d (1 - alpha z) is w_t - alpha w_(t-1), with
-        # w the FARIMA00 residual and w_0 = 0: S_n is quadratic in alpha
-        w = residual(Family.FARIMA00, d)
-        ss = float(np.dot(w[:-1], w[:-1]))
-        alpha = float(np.dot(w[1:], w[:-1])) / ss if ss > 0.0 else 0.0
-        alpha = min(max(alpha, opt_bounds[1][0]), opt_bounds[1][1])
-        resid = np.concatenate([w[:1], w[1:] - alpha * w[:-1]])
-        return float(np.dot(resid, resid)), (d, alpha), 1, True
-
-    gamma_hat, s_min, nfev, ok = _minimize_gamma(contrast, opt_bounds)
-    sigma2_hat = s_min / n
-    result = FitResult(
-        estimator="qmle",
-        family=family,
-        gamma_hat=gamma_hat,
-        sigma2_hat=sigma2_hat,
-        objective=s_min,
-        iterations=nfev,
-        converged=ok,
-        boundary_pinned=_pinned(gamma_hat, opt_bounds),
-    )
-    if with_stderr:
-        result.stderr = standard_errors(family, gamma_hat, sigma2_hat, n)
-    return result
 
 
 def standard_errors(
@@ -406,6 +332,344 @@ def spectral_density(spec: ModelSpec, lam):
     return f if np.ndim(lam) else float(f[0])
 
 
+# ---------------------------------------------------------------------------
+# Fits: one bounded search over d per series, searches run in lockstep
+# ---------------------------------------------------------------------------
+
+
+def _fit_bounds(
+    family: Family, bounds: tuple[tuple[float, float], ...] | None
+) -> tuple[tuple[float, float], ...]:
+    if bounds is None:
+        bounds = default_gamma_bounds(family)
+    return tuple((lo + _BOUND_MARGIN, hi - _BOUND_MARGIN) for lo, hi in bounds)
+
+
+def _pinned(gamma: tuple[float, ...], bounds) -> bool:
+    return any(
+        g - lo < _PINNED_TOL or hi - g < _PINNED_TOL for g, (lo, hi) in zip(gamma, bounds)
+    )
+
+
+def _step_sign(v: float) -> float:
+    """np.sign(v) + (v == 0): -1 below zero, 1 at or above it, NaN at NaN."""
+    return -1.0 if v < 0.0 else 1.0 if v >= 0.0 else v
+
+
+def _bounded_search(bounds, xatol: float = _XATOL_1D, maxiter: int = 500):
+    """Brent's (1973) bounded golden-section/parabolic minimization of a
+    scalar function on [lo, hi], as a generator: it yields each x to
+    evaluate, is sent f(x), and returns (x, fun, nfev, success).
+
+    A port of scipy.optimize's minimize_scalar(method="bounded") with its
+    arithmetic step for step, so it makes the same evaluations and gives the
+    same x, fun, nfev and success.  success is False when maxiter evaluations
+    are used up or x, fun or the last value is NaN.  The caller owns the
+    loop, so many searches can share one batched evaluation per step.
+    """
+    a, b = (float(v) for v in bounds)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"search bounds must be finite, got {bounds}")
+    if a > b:
+        raise ValueError(f"the lower search bound exceeds the upper one: {bounds}")
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = yield xf
+    num = 1
+    fu = math.inf
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    status = 0
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the last three points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 * _step_sign(xm - xf)
+            else:
+                golden = True
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        x = xf + _step_sign(rat) * max(abs(rat), tol1)
+        fu = yield x
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            status = 1
+            break
+    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
+        status = 2
+    return xf, fx, num, status == 0
+
+
+def _minimize_scalar(fun, bounds) -> tuple[float, float, int, bool]:
+    """One _bounded_search driven serially: (x, fun, nfev, success)."""
+    search = _bounded_search(bounds)
+    try:
+        x = next(search)
+        while True:
+            x = search.send(fun(x))
+    except StopIteration as stop:
+        return stop.value
+
+
+def _evaluate(rows, pending: list[int], ds: list[float]) -> list:
+    """rows.contrasts(pending, ds); when that raises, each row on its own, so
+    that a row whose evaluation fails holds its exception and takes no other
+    row with it."""
+    try:
+        return rows.contrasts(pending, ds)
+    except Exception as exc:
+        if len(pending) == 1:
+            return [exc]
+    return [_evaluate(rows, [i], [d])[0] for i, d in zip(pending, ds)]
+
+
+def _lockstep(rows, count: int, bounds) -> list:
+    """One bounded search over d per row, all run in lockstep: each step
+    sends the pending d of every unfinished row to one rows.contrasts call.
+
+    contrasts returns, per row, (value, gamma, nfev, ok): gamma is (d,), or
+    (d, alpha) with the alpha that minimizes the contrast at that d; nfev
+    counts the contrast evaluations behind it and ok says whether that
+    minimization over alpha succeeded.  Each row ends as (its contrast at
+    d_hat, total nfev, success of the search over d), or as the exception
+    its evaluation raised."""
+    searches = [_bounded_search(bounds) for _ in range(count)]
+    pending = {i: next(search) for i, search in enumerate(searches)}
+    seen: list[dict] = [{} for _ in range(count)]
+    nfev = [0] * count
+    ended: list = [None] * count
+    while pending:
+        at = list(pending)
+        ds = list(pending.values())
+        for i, d, out in zip(at, ds, _evaluate(rows, at, ds)):
+            if isinstance(out, Exception):
+                ended[i] = out
+                del pending[i]
+                continue
+            seen[i][d] = out
+            nfev[i] += out[2]
+            try:
+                pending[i] = searches[i].send(out[0])
+            except StopIteration as stop:
+                x, _, _, success = stop.value
+                ended[i] = (seen[i][x], nfev[i], success)
+                del pending[i]
+    return ended
+
+
+def _check_length(n: int, minimum: int, name: str) -> None:
+    if n < minimum:
+        raise ValueError(f"need n >= {minimum} observations, got {n}")
+    if n < 30:
+        warnings.warn(f"n={n} is small; {name} asymptotics are unreliable", stacklevel=4)
+
+
+class _QmleRows:
+    """QMLE contrasts S_n of equal-length series, for many d at a time.
+
+    Every series is transformed once.  A call builds the AR weights of
+    every pending d as one 2-D array and makes one rfft and one irfft over
+    its rows; FARIMA10 then profiles alpha per row in closed form."""
+
+    def __init__(self, series, family: Family, bounds):
+        self.values = np.array([s.values for s in series])
+        n = self.values.shape[1]
+        _check_length(n, 2, "QMLE")
+        self.family, self.bounds = family, bounds
+        self.N = _transform_length(n)
+        self.X = rfft(self.values, self.N, axis=1)
+
+    def contrasts(self, pending: list[int], ds: list[float]) -> list[tuple]:
+        at = slice(None) if len(pending) == len(self.values) else pending
+        # FARIMA10 starts from the FARIMA00 residual w and profiles alpha
+        fam = Family.FARIMA00 if self.family is Family.FARIMA10 else self.family
+        u = ar_coeffs_batch(fam, ds, self.values.shape[1] - 1)
+        resid = self.values[at] - _predict(self.X[at], u, self.N)
+        return [self._profile(w, d) for w, d in zip(resid, ds)]
+
+    def _profile(self, w: np.ndarray, d: float) -> tuple:
+        if self.family is not Family.FARIMA10:
+            return float(np.dot(w, w)), (d,), 1, True
+        # the residual of (1 - z)^d (1 - alpha z) is w_t - alpha w_(t-1), with
+        # w_0 = 0: S_n is quadratic in alpha
+        ss = float(np.dot(w[:-1], w[:-1]))
+        alpha = float(np.dot(w[1:], w[:-1])) / ss if ss > 0.0 else 0.0
+        alpha = min(max(alpha, self.bounds[1][0]), self.bounds[1][1])
+        resid = np.concatenate([w[:1], w[1:] - alpha * w[:-1]])
+        return float(np.dot(resid, resid)), (d, alpha), 1, True
+
+    def result(self, i: int, found: tuple, nfev: int, success: bool) -> FitResult:
+        s_min, gamma_hat, _, ok = found
+        return FitResult(
+            estimator="qmle",
+            family=self.family,
+            gamma_hat=gamma_hat,
+            sigma2_hat=s_min / self.values.shape[1],
+            objective=s_min,
+            iterations=nfev,
+            converged=success and ok,
+            boundary_pinned=_pinned(gamma_hat, self.bounds),
+        )
+
+
+class _WhittleRows:
+    """Whittle contrasts of equal-length series, one row at a time: the
+    profiled m log sigma2_hat(gamma) + sum_j log h_gamma(lambda_j), with
+    sigma2_hat(gamma) = (2 pi / m) sum_j I(lambda_j) / h_gamma(lambda_j).
+    FARIMA10 minimizes it over alpha at each d by an inner bounded search."""
+
+    def __init__(self, series, family: Family, bounds):
+        n = series[0].n
+        _check_length(n, 4, "Whittle")
+        self.family, self.bounds = family, bounds
+        # a zero periodogram fails its row at its first evaluation
+        self.pgrams = [p if p.any() else None for p in map(periodogram, series)]
+        self.shape = _whittle_shape(family, n)
+
+    def _profiled(self, pgram: np.ndarray, gamma) -> float:
+        m = pgram.size
+        h = self.shape(gamma)
+        s2 = (2.0 * math.pi / m) * float((pgram / h).sum())
+        return m * math.log(s2) + float(np.log(h).sum())
+
+    def contrasts(self, pending: list[int], ds: list[float]) -> list[tuple]:
+        return [self._contrast(self.pgrams[i], d) for i, d in zip(pending, ds)]
+
+    def _contrast(self, pgram: np.ndarray | None, d: float) -> tuple:
+        if pgram is None:
+            raise ValueError(
+                "the periodogram is zero at every Fourier frequency (a constant series?), "
+                "so the Whittle contrast is undefined"
+            )
+        if self.family is not Family.FARIMA10:
+            return self._profiled(pgram, (d,)), (d,), 1, True
+        alpha, fun, nfev, ok = _minimize_scalar(
+            lambda a: self._profiled(pgram, (d, a)), self.bounds[1]
+        )
+        return float(fun), (d, float(alpha)), nfev, ok
+
+    def result(self, i: int, found: tuple, nfev: int, success: bool) -> FitResult:
+        _, gamma_hat, _, ok = found
+        pgram = self.pgrams[i]
+        m = pgram.size
+        h_hat = self.shape(gamma_hat)
+        sigma2_hat = (2.0 * math.pi / m) * float(np.sum(pgram / h_hat))
+        f_hat = sigma2_hat * h_hat / (2.0 * math.pi)
+        return FitResult(
+            estimator="whittle",
+            family=self.family,
+            gamma_hat=gamma_hat,
+            sigma2_hat=sigma2_hat,
+            objective=float(np.sum(np.log(f_hat) + pgram / f_hat)),
+            iterations=nfev,
+            converged=success and ok,
+            boundary_pinned=_pinned(gamma_hat, self.bounds),
+        )
+
+
+_ROWS = {"qmle": _QmleRows, "whittle": _WhittleRows}
+
+
+def fit_batch(
+    series,
+    family: Family,
+    estimator: str = "qmle",
+    bounds: tuple[tuple[float, float], ...] | None = None,
+) -> list:
+    """Fit every series of a sequence of equal-length series, with their
+    searches over d run in lockstep.  Entry i is the FitResult of series i,
+    the one fit_qmle or fit_whittle would return, or the exception its fit
+    raised; a fit that raises leaves the others as they would be alone.
+
+    A QMLE step evaluates the pending d of every unfinished series with one
+    2-D AR-weight build, one rfft and one irfft; Whittle rows are evaluated
+    one by one in the same loop."""
+    family = Family(family)
+    if estimator not in _ROWS:
+        raise ValueError(f"unknown estimator {estimator!r}")
+    series = list(series)
+    if len({s.n for s in series}) > 1:
+        raise ValueError("fit_batch needs series of one length")
+    if not series:
+        return []
+    opt_bounds = _fit_bounds(family, bounds)
+    try:
+        rows = _ROWS[estimator](series, family, opt_bounds)
+        searches = _lockstep(rows, len(series), opt_bounds[0])
+    except Exception as exc:  # a check every row shares failed
+        return [exc] * len(series)
+    return [
+        out if isinstance(out, Exception) else rows.result(i, *out)
+        for i, out in enumerate(searches)
+    ]
+
+
+def _fit_one(estimator, series, family, bounds, with_stderr) -> FitResult:
+    (result,) = fit_batch([series], family, estimator, bounds)
+    if isinstance(result, Exception):
+        raise result
+    if with_stderr:
+        result.stderr = standard_errors(family, result.gamma_hat, result.sigma2_hat, series.n)
+    return result
+
+
+def fit_qmle(
+    series: Series,
+    family: Family,
+    bounds: tuple[tuple[float, float], ...] | None = None,
+    with_stderr: bool = False,
+) -> FitResult:
+    """Quasi-maximum likelihood fit of (gamma, sigma2).
+
+    gamma_hat minimizes qmle_objective over the (slightly shrunk) bounds and
+    sigma2_hat = S_n(gamma_hat)/n.  Standard errors, when requested, come from
+    the asymptotic covariance: sqrt(diag(M^-1)/n) for gamma and
+    sqrt(2 sigma2_hat^2 / n) for sigma2, the Gaussian mu4 = 3; call
+    standard_errors for any other mu4.  The one-series case of fit_batch.
+    """
+    return _fit_one("qmle", series, family, bounds, with_stderr)
+
+
 def fit_whittle(
     series: Series,
     family: Family,
@@ -414,58 +678,13 @@ def fit_whittle(
 ) -> FitResult:
     """Whittle fit: gamma_hat minimizes the profiled periodogram contrast
     m log(sigma2_hat(gamma)) + sum_j log h_gamma(lambda_j), where
-    sigma2_hat(gamma) = (2 pi / m) sum_j I(lambda_j) / h_gamma(lambda_j)."""
-    family = Family(family)
-    n = series.n
-    if n < 4:
-        raise ValueError(f"need n >= 4 observations, got {n}")
-    if n < 30:
-        warnings.warn(f"n={n} is small; Whittle asymptotics are unreliable", stacklevel=2)
-    pgram = periodogram(series)
-    if not pgram.any():
-        raise ValueError(
-            "the periodogram is zero at every Fourier frequency (a constant series?), "
-            "so the Whittle contrast is undefined"
-        )
-    m = pgram.size
-    shape = _whittle_shape(family, n)
-
-    def profiled(gamma) -> float:
-        h = shape(gamma)
-        s2 = (2.0 * math.pi / m) * float(np.sum(pgram / h))
-        return m * math.log(s2) + float(np.sum(np.log(h)))
-
-    opt_bounds = _fit_bounds(family, bounds)
-
-    def contrast(d):
-        if family is not Family.FARIMA10:
-            return profiled((d,)), (d,), 1, True
-        res = _bounded_search(lambda a: profiled((d, a)), opt_bounds[1])
-        return float(res.fun), (d, float(res.x)), int(res.nfev), bool(res.success)
-
-    gamma_hat, _, nfev, ok = _minimize_gamma(contrast, opt_bounds)
-    h_hat = shape(gamma_hat)
-    sigma2_hat = (2.0 * math.pi / m) * float(np.sum(pgram / h_hat))
-    f_hat = sigma2_hat * h_hat / (2.0 * math.pi)
-    contrast = float(np.sum(np.log(f_hat) + pgram / f_hat))
-    result = FitResult(
-        estimator="whittle",
-        family=family,
-        gamma_hat=gamma_hat,
-        sigma2_hat=sigma2_hat,
-        objective=contrast,
-        iterations=nfev,
-        converged=ok,
-        boundary_pinned=_pinned(gamma_hat, opt_bounds),
-    )
-    if with_stderr:
-        result.stderr = standard_errors(family, gamma_hat, sigma2_hat, n)
-    return result
+    sigma2_hat(gamma) = (2 pi / m) sum_j I(lambda_j) / h_gamma(lambda_j).
+    The one-series case of fit_batch."""
+    return _fit_one("whittle", series, family, bounds, with_stderr)
 
 
 # estimator name -> fit function; campaigns and the CLI read names from here
 ESTIMATORS = {"qmle": fit_qmle, "whittle": fit_whittle}
-
 
 # ---------------------------------------------------------------------------
 # Asymptotic covariance and location estimators

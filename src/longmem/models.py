@@ -42,6 +42,7 @@ __all__ = [
     "ma_coeffs",
     "ar_coeffs",
     "ar_coeffs_gamma",
+    "ar_coeffs_batch",
     "dar_coeffs",
     "dar_coeffs_gamma",
     "invert_series",
@@ -138,14 +139,24 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _frac_diff_coeffs(d: float, K: int) -> np.ndarray:
-    """Power-series coefficients of (1 - z)^d, indices 0..K."""
-    pi = np.empty(K + 1)
-    pi[0] = 1.0
+def _frac_diff_coeffs(d, K: int) -> np.ndarray:
+    """Power-series coefficients of (1 - z)^d, indices 0..K; d is a scalar,
+    or a column of values with one row of coefficients each."""
+    pi = np.empty(np.broadcast_shapes(np.shape(d), (K + 1,)))
+    pi[..., 0] = 1.0
     if K >= 1:
         i = np.arange(1.0, K + 1)
-        pi[1:] = np.cumprod((i - 1.0 - d) / i)
+        pi[..., 1:] = np.cumprod((i - 1.0 - d) / i, axis=-1)
     return pi
+
+
+def _one_parameter_ar(family: Family, d, K: int) -> np.ndarray:
+    """u_1..u_K of FARIMA00 or LM; d is a scalar, or a column of values with
+    one row of weights each."""
+    if family is Family.LM:
+        k = np.arange(1.0, K + 1)
+        return k ** (-1.0 - d) / zeta(1.0 + d)
+    return -_frac_diff_coeffs(d, K)[..., 1:]
 
 
 def _checked(family, gamma, K: int) -> tuple[Family, tuple[float, ...], int]:
@@ -177,16 +188,26 @@ def ar_coeffs_gamma(family: Family, gamma, K: int) -> np.ndarray:
     """
     family, gamma, K = _checked(family, gamma, K)
     d = gamma[0]
-    if family is Family.LM:
-        k = np.arange(1.0, K + 1)
-        u = k ** (-1.0 - d) / zeta(1.0 + d)
-    elif family is Family.FARIMA00:
-        u = -_frac_diff_coeffs(d, K)[1:]
-    else:  # FARIMA10: AR polynomial (1 - z)^d (1 - alpha z)
-        pi = _frac_diff_coeffs(d, K)
-        pi[1:] -= gamma[1] * pi[:-1]
-        u = -pi[1:]
-    return _readonly(u)
+    if family is not Family.FARIMA10:
+        return _readonly(_one_parameter_ar(family, d, K))
+    # FARIMA10: AR polynomial (1 - z)^d (1 - alpha z)
+    pi = _frac_diff_coeffs(d, K)
+    pi[1:] -= gamma[1] * pi[:-1]
+    return _readonly(-pi[1:])
+
+
+def ar_coeffs_batch(family: Family, ds, K: int) -> np.ndarray:
+    """AR(inf) weights of a one-parameter family (FARIMA00 or LM) at each d
+    of ds, shape (len(ds), K): row j holds the values of
+    ar_coeffs_gamma(family, (ds[j],), K), built in one array operation."""
+    family = Family(family)
+    if family is Family.FARIMA10:
+        raise ValueError("ar_coeffs_batch takes a one-parameter family, not farima10")
+    ds = np.asarray(ds, dtype=float)
+    # the domain of d is an interval, so its extremes decide (NaN fails both)
+    for d in (ds.min(), ds.max()):
+        _checked(family, (d,), K)
+    return _readonly(_one_parameter_ar(family, ds[:, np.newaxis], K))
 
 
 def _ma_coeffs_gamma(family: Family, gamma: tuple[float, ...], K: int) -> np.ndarray:

@@ -3,9 +3,13 @@
 A campaign is a grid of (parameter cell) x (trajectory length) x
 (replication).  Replication r of cell c at length n always uses the seed
 stream derived from (base_seed, c, n_index, r), so the report depends on
-the config alone.  Replications run serially (a thread pool ran slower on
-two cores).  Failed fits (non-convergence or a boundary-pinned gamma) are
-excluded from the aggregates and counted.
+the config alone.  Replications run in one process (a thread pool ran slower
+on two cores), in blocks of _BLOCK per (cell, n): a block's series are drawn
+one by one and fitted by estimate.fit_batch, whose searches over d run in
+lockstep and share one QMLE transform per step.  Each row equals the
+standalone fit of its series bit for bit.  Failed fits (an exception,
+non-convergence or a boundary-pinned gamma) are excluded from the aggregates
+and counted; an exception is logged with its cell, n and replication.
 
 ``MCConfig`` and ``MCCell`` alone define a campaign: a JSON config uses
 their field names, defaults and normalisation, so it equals the same config
@@ -22,13 +26,17 @@ from io import StringIO
 
 import numpy as np
 
-from .estimate import ESTIMATORS
+from .estimate import ESTIMATORS, fit_batch
 from .models import GAMMA_NAMES, Family, ModelSpec
 from .simulate import GENERATORS, GenConfig, derive_seed, simulate
 
 logger = logging.getLogger(__name__)
 
 __all__ = ["MCCell", "MCConfig", "MCRecord", "MCReport", "run_mc", "emit_table"]
+
+# replications of one (cell, n) whose fits run in lockstep; fits share their
+# transforms, memory grows with the block
+_BLOCK = 64
 
 
 def _coerce(obj, name: str, convert) -> None:
@@ -193,24 +201,31 @@ def _null_nan(value):
 
 
 def _run_replications(config, spec, n, n_index, cell_index, estimates):
-    for r in range(config.replications):
-        gen = GenConfig(
-            generator=config.generator,
-            seed=derive_seed(config.base_seed, cell_index, n_index, r),
-            K=config.gen_K_mult * n,
-        )
-        series = simulate(spec, n, gen)
+    R = config.replications
+    for start in range(0, R, _BLOCK):
+        block = range(start, min(start + _BLOCK, R))
+        series = [
+            simulate(
+                spec,
+                n,
+                GenConfig(
+                    generator=config.generator,
+                    seed=derive_seed(config.base_seed, cell_index, n_index, r),
+                    K=config.gen_K_mult * n,
+                ),
+            )
+            for r in block
+        ]
         for est in config.estimators:
-            try:
-                fit = ESTIMATORS[est](series, config.family, bounds=spec.gamma_bounds)
-            except Exception:
-                logger.exception(
-                    "fit %s failed: cell %d, n %d, replication %d", est, cell_index, n, r
-                )
-                continue
-            if not fit.converged or fit.boundary_pinned:
-                continue
-            estimates[est][r] = list(fit.gamma_hat) + [fit.sigma2_hat]
+            fits = fit_batch(series, config.family, est, bounds=spec.gamma_bounds)
+            for r, fit in zip(block, fits):
+                if isinstance(fit, Exception):
+                    logger.error(
+                        "fit %s failed: cell %d, n %d, replication %d",
+                        est, cell_index, n, r, exc_info=fit,
+                    )
+                elif fit.converged and not fit.boundary_pinned:
+                    estimates[est][r] = list(fit.gamma_hat) + [fit.sigma2_hat]
 
 
 def run_mc(config: MCConfig, workers: int = 1) -> MCReport:

@@ -374,17 +374,29 @@ def test_cli_detrend_of_a_too_short_series_exits_with_message(tmp_path, capsys, 
     assert "Traceback" not in err
 
 
-def test_cli_import_loads_neither_scipy_signal_nor_scipy_stats():
-    # scipy.signal pulls in scipy.stats, which every fresh process would pay
-    # for at start-up
+def _modules_loaded_by_cli_import(prefixes: tuple[str, ...]) -> str:
+    """The modules starting with one of prefixes that a fresh
+    `import longmem.cli` loads, as the repr of a sorted list."""
     code = (
         "import sys, longmem.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith(('scipy.signal', 'scipy.stats'))))"
+        f"print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))"
     )
     path = [str(Path(longmem.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_loads_neither_scipy_signal_nor_scipy_stats():
+    # scipy.signal pulls in scipy.stats, which every fresh process would pay
+    # for at start-up
+    assert _modules_loaded_by_cli_import(("scipy.signal", "scipy.stats")) == "[]"
+
+
+def test_cli_import_loads_no_scipy_optimize():
+    # the fits run their own port of the bounded scalar search; importing
+    # scipy.optimize would cost start-up time and load scipy.sparse
+    assert _modules_loaded_by_cli_import(("scipy.optimize", "scipy.sparse")) == "[]"
 
 
 @pytest.mark.parametrize("command", ["simulate", "fit", "blue", "analyze", "mc"])

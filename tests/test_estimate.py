@@ -6,11 +6,13 @@ import pytest
 from scipy.integrate import quad
 from scipy.signal import fftconvolve
 
+import longmem.estimate as estimate
 from longmem.estimate import (
     asymptotic_covariance,
     blue_efficiency,
     blue_mean,
     blue_weights,
+    fit_batch,
     fit_qmle,
     fit_whittle,
     fourier_frequencies,
@@ -186,22 +188,82 @@ def test_fit_qmle_farima10_two_dimensional():
     "fit,failing", [(fit_qmle, "d"), (fit_whittle, "d"), (fit_whittle, "alpha")]
 )
 def test_fit_farima10_converged_follows_scalar_search(monkeypatch, fit, failing):
-    import longmem.estimate as estimate
-
-    real = estimate.minimize_scalar
+    real = estimate._bounded_search
     d_bounds, alpha_bounds = estimate._fit_bounds("farima10", None)
 
-    def failing_search(fun, bounds, **kwargs):
+    def failing_search(bounds, **kwargs):
         # the same search, reported as failed on the chosen coordinate only
-        res = real(fun, bounds=bounds, **kwargs)
+        x, fun, nfev, success = yield from real(bounds, **kwargs)
         if tuple(bounds) == {"d": d_bounds, "alpha": alpha_bounds}[failing]:
-            res.success = False
-        return res
+            success = False
+        return x, fun, nfev, success
 
     series = sim("farima10", (0.2, 0.5), 1.0, 500, seed=53)
     assert fit(series, "farima10").converged
-    monkeypatch.setattr(estimate, "minimize_scalar", failing_search)
+    monkeypatch.setattr(estimate, "_bounded_search", failing_search)
     assert not fit(series, "farima10").converged
+
+
+def _drive(fun, bounds, **options):
+    # one port of the bounded search, driven serially
+    search = estimate._bounded_search(bounds, **options)
+    x = next(search)
+    try:
+        while True:
+            x = search.send(fun(x))
+    except StopIteration as stop:
+        return stop.value
+
+
+_SEARCH_CASES = {
+    "interior": (lambda x: (x - 0.3) ** 2, (0.011, 0.489), {}),
+    "lower-bound": (lambda x: x, (0.011, 0.489), {}),
+    "upper-bound": (lambda x: -x, (0.011, 0.489), {}),
+    "flat": (lambda x: 1.0, (0.011, 0.489), {}),
+    "nan": (lambda x: math.nan, (0.011, 0.489), {}),
+    "nan-beyond": (lambda x: math.nan if x > 0.6 else (x - 0.7) ** 2, (0.0, 1.0), {}),
+    "maxiter": (lambda x: math.cos(10.0 * x), (-1.0, 2.0), {"maxiter": 5}),
+    "quartic": (lambda x: (x - 0.25) ** 4, (0.011, 0.489), {}),
+    "kink": (lambda x: abs(x - 0.4), (0.0, 1.0), {}),
+    "multimodal": (lambda x: math.sin(20.0 * x) + x, (-1.0, 2.0), {}),
+    "steps": (lambda x: math.floor(10.0 * x), (0.0, 1.0), {}),
+    "tiny-scale": (lambda x: 1.0 + 1e-12 * (x - 0.5) ** 2, (0.0, 1.0), {}),
+    "skewed": (lambda x: math.exp(x) * (x - 0.1) ** 2, (-1.0, 2.0), {}),
+    "one-point": (lambda x: x * x, (0.3, 0.3), {}),
+}
+
+
+@pytest.mark.parametrize("case", list(_SEARCH_CASES))
+def test_bounded_search_matches_scipy(case):
+    # scipy.optimize is imported by this test only; the library never loads it
+    from scipy.optimize import minimize_scalar
+
+    fun, bounds, options = _SEARCH_CASES[case]
+    x, f, nfev, success = _drive(fun, bounds, **options)
+    res = minimize_scalar(
+        fun, bounds=bounds, method="bounded", options={"xatol": 1e-6, **options}
+    )
+    assert x == res.x
+    assert f == res.fun or (math.isnan(f) and math.isnan(res.fun))
+    assert nfev == res.nfev
+    assert success == res.success
+    if case in ("nan", "maxiter"):
+        assert not success
+    if case == "maxiter":
+        assert nfev == 5
+
+
+def test_fit_batch_isolates_a_series_that_cannot_be_fitted():
+    # a constant series has no Whittle contrast; its row holds the error and
+    # the other rows are the standalone fits
+    good = [sim("lm", (0.3,), 1.0, 400, seed=s) for s in (71, 72)]
+    constant = Series(values=np.full(400, 2.5))
+    out = fit_batch([good[0], constant, good[1]], "lm", "whittle")
+    assert isinstance(out[1], ValueError) and "periodogram is zero" in str(out[1])
+    for fit, series in zip((out[0], out[2]), good):
+        assert fit == fit_whittle(series, "lm")
+    with pytest.raises(ValueError, match="one length"):
+        fit_batch([good[0], Series(values=good[1].values[:300])], "lm")
 
 
 def test_fit_whittle_farima10_two_dimensional():

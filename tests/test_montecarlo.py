@@ -3,11 +3,16 @@ import importlib
 import io
 import json
 
+import logging
+
 import numpy as np
 import pytest
 
-from longmem.estimate import fit_qmle
+import longmem.estimate as estimate
+import longmem.montecarlo as montecarlo
+from longmem.estimate import ESTIMATORS
 from longmem.montecarlo import MCCell, MCConfig, emit_table, run_mc
+from longmem.simulate import GenConfig, derive_seed, simulate
 
 
 def small_config(**overrides):
@@ -46,16 +51,68 @@ def test_run_mc_deterministic_and_worker_independent():
             assert np.array_equal(r1.raw[key], other.raw[key], equal_nan=True)
 
 
-def test_run_mc_replication_matches_direct_fit():
-    # replication r of a campaign is reproducible standalone from its seed
-    from longmem.simulate import Series, derive_seed, rng_from_seed, _sample_exact_gaussian
-
-    config = small_config(replications=3, n_grid=(300,))
+@pytest.mark.parametrize("replications", [1, 3, 7, montecarlo._BLOCK + 1])
+@pytest.mark.parametrize(
+    "family,gamma",
+    [("farima00", (0.45,)), ("farima10", (0.2, 0.5)), ("lm", (0.45,))],
+    ids=["farima00", "farima10", "lm"],
+)
+def test_run_mc_replication_matches_direct_fit(family, gamma, replications):
+    # every row of a campaign, fitted in lockstep with its block, is the
+    # standalone fit of replication r's series, bit for bit; the cells pin or
+    # fail a share of fits, so NaN rows are compared as well
+    config = MCConfig(
+        family=family,
+        cells=(MCCell(gamma=gamma, sigma2=1.0),),
+        n_grid=(100, 300),
+        replications=replications,
+        estimators=("qmle", "whittle"),
+        base_seed=314,
+    )
     report = run_mc(config)
     spec = config.cells[0].spec(config.family)
-    values = _sample_exact_gaussian(spec, 300, rng_from_seed(derive_seed(314, 0, 0, 1)))
-    fit = fit_qmle(Series(values=values), "farima00", bounds=spec.gamma_bounds)
-    assert report.raw[(0, 300, "qmle")][1, 0] == fit.gamma_hat[0]
+    excluded = 0
+    for i, n in enumerate(config.n_grid):
+        for r in range(replications):
+            series = simulate(spec, n, GenConfig(seed=derive_seed(314, 0, i, r)))
+            for est in config.estimators:
+                fit = ESTIMATORS[est](series, family, bounds=spec.gamma_bounds)
+                if fit.converged and not fit.boundary_pinned:
+                    expected = list(fit.gamma_hat) + [fit.sigma2_hat]
+                else:
+                    expected = [np.nan] * (len(gamma) + 1)
+                    excluded += 1
+                row = report.raw[(0, n, est)][r]
+                assert np.array_equal(row, expected, equal_nan=True), (n, est, r)
+    if replications > 3:
+        assert excluded > 0
+
+
+@pytest.mark.parametrize("estimator", ["qmle", "whittle"])
+def test_fit_that_raises_is_excluded_alone(monkeypatch, caplog, estimator):
+    # replication 2's contrast raises inside its block: it alone is excluded
+    # and logged, and every other row is the one the clean run gives
+    config = small_config(replications=6, estimators=(estimator,))
+    clean = run_mc(config)
+    rows = {"qmle": estimate._QmleRows, "whittle": estimate._WhittleRows}[estimator]
+    contrasts = rows.contrasts
+
+    def failing(self, pending, ds):
+        if 2 in pending:
+            raise RuntimeError("contrast failed")
+        return contrasts(self, pending, ds)
+
+    monkeypatch.setattr(rows, "contrasts", failing)
+    with caplog.at_level(logging.ERROR, logger="longmem.montecarlo"):
+        report = run_mc(config)
+    raw, ref = report.raw[(0, 200, estimator)], clean.raw[(0, 200, estimator)]
+    assert np.isnan(raw[2]).all() and not np.isnan(ref).any()
+    others = [0, 1, 3, 4, 5]
+    assert np.array_equal(raw[others], ref[others])
+    assert report.lookup(0, 200, estimator, "d").failures == 1
+    (record,) = caplog.records
+    assert f"fit {estimator} failed: cell 0, n 200, replication 2" in record.getMessage()
+    assert record.exc_info[0] is RuntimeError
 
 
 def test_failures_are_counted_and_excluded():
