@@ -4,9 +4,10 @@ A campaign is a grid of (parameter cell) x (trajectory length) x
 (replication).  Replication r of cell c at length n always uses the seed
 stream derived from (base_seed, c, n_index, r), so the report depends on
 the config alone.  Replications run in one process (a thread pool ran slower
-on two cores), in blocks of _BLOCK per (cell, n): a block's series are drawn
-one by one and fitted by estimate.fit_batch, whose searches over d run in
-lockstep and share one QMLE transform per step.  Each row equals the
+on two cores), in blocks of at most _BLOCK per (cell, n), fewer when n is so
+large that a block's arrays would pass _BLOCK_BYTES: a block's series are
+drawn one by one and fitted by estimate.fit_batch, whose searches over d run
+in lockstep and share one QMLE transform per step.  Each row equals the
 standalone fit of its series bit for bit.  Failed fits (an exception,
 non-convergence or a boundary-pinned gamma) are excluded from the aggregates
 and counted; an exception is logged with its cell, n and replication.
@@ -34,9 +35,11 @@ logger = logging.getLogger(__name__)
 
 __all__ = ["MCCell", "MCConfig", "MCRecord", "MCReport", "run_mc", "emit_table"]
 
-# replications of one (cell, n) whose fits run in lockstep; fits share their
-# transforms, memory grows with the block
+# replications of one (cell, n) whose fits run in lockstep and share their
+# transforms: at most _BLOCK, and fewer where their fit arrays, about 80 n
+# bytes a replication, would pass _BLOCK_BYTES (n above 3,276)
 _BLOCK = 64
+_BLOCK_BYTES = 16 << 20
 
 
 def _coerce(obj, name: str, convert) -> None:
@@ -202,8 +205,9 @@ def _null_nan(value):
 
 def _run_replications(config, spec, n, n_index, cell_index, estimates):
     R = config.replications
-    for start in range(0, R, _BLOCK):
-        block = range(start, min(start + _BLOCK, R))
+    rows = min(_BLOCK, max(1, _BLOCK_BYTES // (80 * n)))
+    for start in range(0, R, rows):
+        block = range(start, min(start + rows, R))
         series = [
             simulate(
                 spec,

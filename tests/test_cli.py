@@ -364,6 +364,30 @@ def test_cli_exit_codes(tmp_path):
     assert run_cli("simulate", "--n", "100", "--d", "0.2", "--sigma2", "-1") == 1
 
 
+@pytest.mark.parametrize(
+    "lag1,message",
+    [(2.0, "not a covariance"), (np.nan, "must be finite")],
+    ids=["indefinite", "nan"],
+)
+def test_cli_blue_failure_exits_with_message(tmp_path, capsys, monkeypatch, lag1, message):
+    # a column blue_weights rejects: blue exits 1, analyze 2, each with an
+    # error: line and no traceback
+    def broken(spec, maxlag):
+        r = np.zeros(maxlag + 1)
+        r[:2] = 1.0, lag1
+        return r
+
+    monkeypatch.setattr(importlib.import_module("longmem.estimate"), "autocovariance", broken)
+    good = tmp_path / "good.csv"
+    series_to_csv(simulate(ModelSpec(family="farima00", gamma=(0.2,)), 200, GenConfig(seed=1)), good)
+    assert run_cli("blue", str(good)) == 1
+    assert run_cli("analyze", str(good), "--family", "farima00") == 2
+    blue_err, analyze_err = capsys.readouterr().err.splitlines()
+    assert blue_err.startswith("error: ") and message in blue_err
+    assert analyze_err.startswith("error: BLUE mean under the best fit failed: ")
+    assert message in analyze_err
+
+
 @pytest.mark.parametrize("command", ["fit", "analyze"])
 def test_cli_detrend_of_a_too_short_series_exits_with_message(tmp_path, capsys, command):
     two = tmp_path / "two.csv"
@@ -397,6 +421,11 @@ def test_cli_import_loads_no_scipy_optimize():
     # the fits run their own port of the bounded scalar search; importing
     # scipy.optimize would cost start-up time and load scipy.sparse
     assert _modules_loaded_by_cli_import(("scipy.optimize", "scipy.sparse")) == "[]"
+
+
+def test_cli_import_loads_no_scipy_linalg():
+    # the BLUE weights come from an in-package conjugate-gradient solve
+    assert _modules_loaded_by_cli_import(("scipy.linalg",)) == "[]"
 
 
 @pytest.mark.parametrize("command", ["simulate", "fit", "blue", "analyze", "mc"])

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import lu_factor, lu_solve, solve_toeplitz
 from scipy.signal import fftconvolve
 
 import longmem.estimate as estimate
@@ -731,6 +732,93 @@ def test_blue_weights_sum_to_one_exactly():
     r = autocovariance(spec_of("farima00", 0.3), 199)
     w = blue_weights(r)
     assert w.sum() == pytest.approx(1.0, abs=1e-15)
+
+
+def refined_dense_blue(r: np.ndarray) -> np.ndarray:
+    """BLUE weights from a dense LU solve of Gamma w = 1, refined three times
+    with residuals taken in long double; normalized to sum to 1."""
+    n = r.size
+    gamma = r[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))]
+    lu = lu_factor(gamma)
+    w = lu_solve(lu, np.ones(n)).astype(np.longdouble)
+    gamma_ld = gamma.astype(np.longdouble)
+    for _ in range(3):
+        w += lu_solve(lu, (1.0 - gamma_ld @ w).astype(float))
+    return w / w.sum()
+
+
+BLUE_GRID = [
+    ("farima00", (0.011,)),
+    ("farima00", (0.3,)),
+    ("farima00", (0.49,)),
+    ("farima10", (0.3, 0.9)),
+    ("farima10", (0.3, 0.99)),
+    ("farima10", (0.45, -0.9)),
+    ("lm", (0.15,)),
+    ("lm", (0.489,)),
+]
+
+
+@pytest.mark.parametrize("n", [2, 500, 2000])
+@pytest.mark.parametrize("family,gamma", BLUE_GRID)
+def test_blue_weights_match_refined_dense_solve(family, gamma, n):
+    # the error is max |w - w_ref| relative to sum |w_ref|: weights of
+    # mass 1 concentrate at the two ends as alpha -> 1, with negative ones
+    # between.  Levinson's O(n^2) recursion (scipy's solve_toeplitz) on the
+    # same system is the yardstick
+    r = np.array(autocovariance(spec_of(family, *gamma), n - 1))
+    ref = refined_dense_blue(r)
+    scale = float(np.abs(ref).sum())
+    w = blue_weights(r)
+    levinson = solve_toeplitz(r, np.ones(n))
+    error = float(np.max(np.abs(w - ref))) / scale
+    levinson_error = float(np.max(np.abs(levinson / levinson.sum() - ref))) / scale
+    assert error <= 1e-12
+    assert error <= max(levinson_error, 1e-15)
+    # Gamma commutes with the reversal, so w is persymmetric
+    assert np.max(np.abs(w - w[::-1])) <= 1e-12 * scale
+
+
+def test_blue_weights_of_one_variance_is_one():
+    assert blue_weights(np.array([2.5])).tolist() == [1.0]
+
+
+@pytest.mark.parametrize(
+    "column,error,message",
+    [
+        ([1.0, 2.0], estimate.ToeplitzError, "preconditioner"),
+        ([-1.0], estimate.ToeplitzError, "preconditioner"),
+        ([1.0, 0.9, -0.9], estimate.ToeplitzError, "curvature"),
+        ([], estimate.ToeplitzError, "empty"),
+        ([1.0, np.nan], ValueError, "finite"),
+        ([np.inf, 0.5], ValueError, "finite"),
+    ],
+    ids=["indefinite", "negative-variance", "negative-curvature", "empty", "nan", "inf"],
+)
+def test_blue_weights_reject_a_column_that_is_not_a_covariance(column, error, message):
+    # [1, 2] and [1, 0.9, -0.9] are indefinite; an exact solve of either
+    # gives weights, [0.5, 0.5] and some negative ones
+    with pytest.raises(error, match=message):
+        blue_weights(np.array(column, dtype=float))
+
+
+def test_blue_weights_iteration_cap_raises(monkeypatch):
+    # farima00 at d = 0.3, n = 500 needs about 9 steps
+    monkeypatch.setattr(estimate, "_CG_MAXITER", 2)
+    r = autocovariance(spec_of("farima00", 0.3), 499)
+    with pytest.raises(estimate.ToeplitzError, match="after 2 iterations at relative residual"):
+        blue_weights(r)
+
+
+def test_blue_weights_near_unit_root_end_by_the_residual_test():
+    # alpha = 0.9999 needs custom bounds and makes Gamma nearly singular
+    # (condition number 2.6e10 already at n = 2000); the solve takes
+    # about 110 steps, and the cap would raise
+    spec = spec_of("farima10", 0.3, 0.9999, gamma_bounds=((0.01, 0.49), (-0.99999, 0.99999)))
+    w = blue_weights(autocovariance(spec, 9999))
+    assert np.isfinite(w).all()
+    assert w.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.max(np.abs(w - w[::-1])) <= 1e-8 * np.abs(w).sum()
 
 
 def test_blue_mean_white_noise_limit_is_sample_mean():

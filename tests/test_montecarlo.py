@@ -88,6 +88,47 @@ def test_run_mc_replication_matches_direct_fit(family, gamma, replications):
         assert excluded > 0
 
 
+@pytest.mark.parametrize(
+    "family,gamma",
+    [("farima00", (0.45,)), ("farima10", (0.2, 0.5)), ("lm", (0.45,))],
+    ids=["farima00", "farima10", "lm"],
+)
+def test_block_size_leaves_raw_tables_unchanged(monkeypatch, family, gamma):
+    # rows equal their one-row fits, so the row cap and the byte budget
+    # change no bit of a table; the last budget allows 9 rows at n = 100 and
+    # 3 at n = 300
+    config = MCConfig(
+        family=family,
+        cells=(MCCell(gamma=gamma, sigma2=1.0),),
+        n_grid=(100, 300),
+        replications=11,
+        estimators=("qmle", "whittle"),
+        base_seed=314,
+    )
+    fit_batch = montecarlo.fit_batch
+    sizes = []
+
+    def recording(series, *args, **kwargs):
+        sizes.append((series[0].n, len(series)))
+        return fit_batch(series, *args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "fit_batch", recording)
+    tables = []
+    for cap, budget in [(1, None), (5, None), (64, None), (64, 3 * 80 * 300)]:
+        monkeypatch.setattr(montecarlo, "_BLOCK", cap)
+        if budget is not None:
+            monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", budget)
+        sizes.clear()
+        tables.append(run_mc(config).raw)
+        largest = {n: max(k for m, k in sizes if m == n) for n in config.n_grid}
+        expected = {100: 9, 300: 3} if budget else dict.fromkeys(config.n_grid, min(cap, 11))
+        assert largest == expected
+    for other in tables[1:]:
+        assert other.keys() == tables[0].keys()
+        for key in tables[0]:
+            assert np.array_equal(other[key], tables[0][key], equal_nan=True), key
+
+
 @pytest.mark.parametrize("estimator", ["qmle", "whittle"])
 def test_fit_that_raises_is_excluded_alone(monkeypatch, caplog, estimator):
     # replication 2's contrast raises inside its block: it alone is excluded
