@@ -6,7 +6,9 @@ Exit codes: 0 success, 1 I/O or validation error, 2 fit failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -61,7 +63,8 @@ def detrend_linear(series: Series) -> tuple[Series, float, float]:
 def _residual_mu4(series: Series, fit: FitResult) -> float:
     resid = series.values - predictors(series.values, fit.family, fit.gamma_hat)
     std = resid / np.sqrt(fit.sigma2_hat)
-    return float(np.mean(std**4))
+    square = std * std  # numpy has no fast path for ** 4: it calls pow per element
+    return float(np.mean(square * square))
 
 
 def _load_series(path: str) -> Series:
@@ -216,7 +219,10 @@ def cmd_analyze(args) -> int:
     return 2 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps no
+    state between calls, and argparse looks up sys.stderr when it reports."""
     parser = argparse.ArgumentParser(
         prog="longmem",
         description="Long-memory linear processes: simulation, QMLE/Whittle fitting, "
@@ -273,16 +279,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _silence_stdout() -> None:
+    """Point stdout's descriptor at devnull, so that the interpreter's last
+    flush does not fail on a closed pipe again.  A stream without a
+    descriptor, such as an in-process caller's StringIO, is left alone."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     with warnings.catch_warnings():
         # library warnings become one line each, like the error: lines
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
-            return args.func(args)
+            code = args.func(args)
+            sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+            return code
         except SystemExit as exc:
             code = exc.code
             return code if isinstance(code, int) else 1
+        except BrokenPipeError:
+            _silence_stdout()
+            return _fail("stdout was closed before the output was written")
 
 
 if __name__ == "__main__":

@@ -12,8 +12,9 @@ goes through scipy.fft.
 
 from __future__ import annotations
 
-import csv
+import io
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -41,6 +42,9 @@ GENERATORS = ("exact-gaussian", "truncated-ma")
 # relative threshold below which negative circulant eigenvalues are treated
 # as roundoff and clamped to zero; anything lower aborts
 _EV_TOL = 1e-8
+
+# spaces, tabs and commas at a line end, so whitespace-only lines become empty
+_LINE_END_BLANKS = re.compile(r"[ \t,]+$", re.MULTILINE)
 
 
 class EmbeddingError(RuntimeError):
@@ -199,32 +203,49 @@ def series_to_csv(series: Series, path) -> None:
         Path(path).write_text(text)
 
 
+def _read_rows(text: str) -> np.ndarray:
+    return np.loadtxt(io.StringIO(text), delimiter=",", comments=None, quotechar='"', ndmin=2)
+
+
 def series_from_csv(path) -> Series:
-    """Read a series: one value per line (optional header), or two columns
-    time,value where rows are sorted by time and the time column dropped."""
-    rows = []
-    with open(path, newline="") as fh:
-        for raw in csv.reader(fh):
-            cells = [c.strip() for c in raw if c.strip() != ""]
-            if cells:
-                rows.append(cells)
-    if not rows:
-        raise ValueError(f"no data found in {path}")
-    start = 0
+    """Read a series: one value per line, or two columns time,value where rows
+    are sorted by (time, value) and the time column dropped.
+
+    The accepted grammar: LF, CRLF or CR line ends; an optional header, which
+    is the first non-empty line when one of its cells is not a number; cells
+    separated by ``,``, each a Python float literal without ``_``, optionally
+    quoted with ``"`` and surrounded by spaces or tabs; one trailing ``,`` or
+    more on a line; blank and whitespace-only lines anywhere.  Every data row
+    has the same number of cells, 1 or 2, and no cell is empty.  Raises
+    ``ValueError`` on anything else, on an empty file or a header alone, and
+    (through ``Series``) on a non-finite value.
+    """
+    with open(path) as fh:  # universal newlines: CRLF and CR arrive as LF
+        for first in fh:
+            cells = [c.strip().strip('"') for c in first.split(",")]
+            if any(cells):
+                break
+        else:
+            raise ValueError(f"no data found in {path}")
+        body = fh.read()
     try:
-        [float(c) for c in rows[0]]
+        [float(c) for c in cells if c]
+        body = first + body
     except ValueError:
-        start = 1  # header row
-    if not rows[start:]:
+        pass  # the first non-empty line is a header
+    if not body.strip(" \t\n,"):
         raise ValueError(f"no numeric rows found in {path}")
-    width = len(rows[start])
-    if any(len(r) != width for r in rows[start:]):
-        raise ValueError(f"inconsistent column count in {path}")
+    try:
+        rows = _read_rows(body)
+    except ValueError:
+        # loadtxt rejects whitespace-only lines and trailing commas; trimming
+        # them from every file would cost more than the read itself
+        rows = _read_rows(_LINE_END_BLANKS.sub("", body))
+    width = rows.shape[1]
     if width == 1:
-        values = np.array([float(r[0]) for r in rows[start:]])
+        values = rows[:, 0]
     elif width == 2:
-        pairs = sorted((float(t), float(v)) for t, v in rows[start:])
-        values = np.array([v for _, v in pairs])
+        values = rows[np.lexsort((rows[:, 1], rows[:, 0])), 1]
     else:
         raise ValueError(f"expected 1 or 2 columns, got {width}")
     return Series(values=values)

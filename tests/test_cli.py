@@ -1,4 +1,6 @@
+import contextlib
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -9,8 +11,8 @@ import numpy as np
 import pytest
 
 import longmem
-from longmem.cli import detrend_linear, main
-from longmem.estimate import blue_mean, fit_qmle
+from longmem.cli import _residual_mu4, build_parser, detrend_linear, main
+from longmem.estimate import ESTIMATORS, blue_mean, fit_qmle, predictors
 from longmem.models import ModelSpec
 from longmem.simulate import (
     EmbeddingError,
@@ -398,6 +400,12 @@ def test_cli_detrend_of_a_too_short_series_exits_with_message(tmp_path, capsys, 
     assert "Traceback" not in err
 
 
+def _subprocess_env() -> dict:
+    """The environment under which a child Python imports this longmem."""
+    path = [str(Path(longmem.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+
+
 def _modules_loaded_by_cli_import(prefixes: tuple[str, ...]) -> str:
     """The modules starting with one of prefixes that a fresh
     `import longmem.cli` loads, as the repr of a sorted list."""
@@ -405,9 +413,9 @@ def _modules_loaded_by_cli_import(prefixes: tuple[str, ...]) -> str:
         "import sys, longmem.cli; "
         f"print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))"
     )
-    path = [str(Path(longmem.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=_subprocess_env(), capture_output=True, text=True, check=True
+    )
     return out.stdout.strip()
 
 
@@ -521,3 +529,58 @@ def test_cli_simulate_stdout_equals_out_file(tmp_path, capsysbinary):
     assert run_cli(*args, "--out", str(out)) == 0
     assert run_cli(*args) == 0
     assert capsysbinary.readouterr().out == out.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "{csv}", "--detrend"], ["simulate", "--family", "lm", "--n", "500"]],
+    ids=["analyze", "simulate"],
+)
+def test_cli_closed_stdout_exits_1_without_traceback(trended_series_csv, argv):
+    cmd = [sys.executable, "-m", "longmem.cli", *(a.format(csv=trended_series_csv) for a in argv)]
+    proc = subprocess.Popen(
+        cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_subprocess_env(), text=True
+    )
+    proc.stdout.close()  # before the child writes, so its first write meets a closed pipe
+    _, err = proc.communicate(timeout=300)
+    assert proc.returncode == 1, err
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: stdout was closed before the output was written"
+    ]
+
+
+def _fit_names(stdout: str) -> list[tuple[str, str]]:
+    return [(fit["family"], fit["estimator"]) for fit in json.loads(stdout)["fits"]]
+
+
+def test_cli_calls_share_one_parser_and_no_state(trended_series_csv, capsys):
+    path = str(trended_series_csv)
+    assert build_parser() is build_parser()
+    assert run_cli("analyze", path, "--family", "lm", "--estimator", "whittle") == 0
+    assert _fit_names(capsys.readouterr().out) == [("lm", "whittle")]
+    # no --family or --estimator list survives from the call before
+    assert run_cli("analyze", path) == 0
+    assert _fit_names(capsys.readouterr().out) == [("farima00", "qmle"), ("lm", "qmle")]
+
+    # a parse error reports to the stderr of its own call and breaks no later call
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        run_cli("analyze", path, "--estimator", "nosuch")
+    assert exc.value.code == 2
+    assert "usage: longmem analyze" in err.getvalue()
+    assert "invalid choice: 'nosuch'" in err.getvalue()
+    assert capsys.readouterr().err == ""
+    assert run_cli("analyze", path, "--family", "farima00") == 0
+    assert _fit_names(capsys.readouterr().out) == [("farima00", "qmle")]
+
+
+def test_residual_mu4_matches_the_fourth_power():
+    series = simulate(ModelSpec(family="lm", gamma=(0.3,)), 2000, GenConfig(seed=21))
+    for family in ("farima00", "lm"):
+        for estimator in ("qmle", "whittle"):
+            fit = ESTIMATORS[estimator](series, family)
+            resid = series.values - predictors(series.values, fit.family, fit.gamma_hat)
+            std = resid / np.sqrt(fit.sigma2_hat)
+            expected = np.mean(std**4)
+            assert _residual_mu4(series, fit) == pytest.approx(expected, rel=1e-15, abs=0)

@@ -1,3 +1,6 @@
+import csv
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
@@ -208,3 +211,130 @@ def test_series_csv_malformed(tmp_path):
     header_only.write_text("x\n")
     with pytest.raises(ValueError):
         series_from_csv(header_only)
+
+
+def _csv_loop_reader(path) -> Series:
+    """The csv-module reader that series_from_csv replaced, kept as the
+    reference for the grammar the loadtxt reader must accept."""
+    rows = []
+    with open(path, newline="") as fh:
+        for raw in csv.reader(fh):
+            cells = [c.strip() for c in raw if c.strip() != ""]
+            if cells:
+                rows.append(cells)
+    if not rows:
+        raise ValueError(f"no data found in {path}")
+    start = 0
+    try:
+        [float(c) for c in rows[0]]
+    except ValueError:
+        start = 1  # header row
+    if not rows[start:]:
+        raise ValueError(f"no numeric rows found in {path}")
+    width = len(rows[start])
+    if any(len(r) != width for r in rows[start:]):
+        raise ValueError(f"inconsistent column count in {path}")
+    if width == 1:
+        values = np.array([float(r[0]) for r in rows[start:]])
+    elif width == 2:
+        pairs = sorted((float(t), float(v)) for t, v in rows[start:])
+        values = np.array([v for _, v in pairs])
+    else:
+        raise ValueError(f"expected 1 or 2 columns, got {width}")
+    return Series(values=values)
+
+
+_ACCEPTED_CSV = {
+    "header": "x\n1.5\n-2\n0.25\n",
+    "no-header": "1.5\n-2\n0.25\n",
+    "no-final-newline": "x\n1.5\n-2",
+    "header-with-space": "my series\n1.5\n-2\n",
+    "crlf": "x\r\n1.5\r\n-2\r\n",
+    "crlf-two-column": "time,value\r\n2,20\r\n1,10\r\n",
+    "cr": "x\r1.5\r-2\r",
+    "blank-lines": "\n\nx\n\n1.5\n\n-2\n\n",
+    "whitespace-only-lines": " \n\t\nx\n  \n1.5\n\t\n-2\n \t \n",
+    "whitespace-only-lines-crlf": "x\r\n \r\n1.5\r\n\t\r\n-2\r\n",
+    "comma-only-lines": "x\n,\n1.5\n , ,\n-2\n",
+    "spaces-and-tabs": " x \n  1.5 \n\t-2\t\n \t0.25\t \n",
+    "two-column-spaces-and-tabs": "t , v\n 2 ,\t20 \n1\t,  10\n",
+    "quoted": '"x"\n"1.5"\n" -2 "\n0.25\n',
+    "quoted-two-column": '"time","value"\n"2","20"\n"1",10\n',
+    "trailing-comma": "x,\n1.5,\n-2,\n",
+    "trailing-comma-no-header": "1.5,\n-2,\n",
+    "trailing-comma-two-column": "t,v,\n2,20,\n1,10,\n",
+    "trailing-commas-and-spaces": "1.5 , \n-2,,\n0.25,\t\n",
+    "trailing-comma-some-rows": "t,v\n2,20,\n1,10\n",
+    "crlf-quoted-trailing-comma": 'time,value,\r\n"2","20",\r\n"1","10",\r\n',
+    "exponents": "x\n1e5\n-2.5E-3\n+.5\n5.\n1e+02\n-0.0\n7E0\n",
+    "seventeen-digits": "x\n0.10000000000000001\n-1.2345678901234567e-300\n2.2250738585072014e-308\n",
+    "two-column-unsorted": "t,v\n3,30\n1,10\n2,20\n",
+    "two-column-tied-times": "t,v\n1,30\n1,10\n0,5\n1,20\n-1.5,7\n",
+    "two-column-infinite-time": "t,v\ninf,1\n0,2\n-inf,3\n",
+}
+
+_REJECTED_CSV = {
+    "empty": "",
+    "blank": "\n \n\t\n",
+    "header-only": "x\n",
+    "header-and-blank-lines": "x\n\n  \n,\n",
+    "three-columns": "a,b,c\n1,2,3\n",
+    "three-columns-no-header": "1,2,3\n4,5,6\n",
+    "mixed-widths": "1\n2,3\n",
+    "mixed-widths-two-first": "t,v\n1,2\n3\n",
+    "non-numeric-body-row": "x\n1\nabc\n",
+    "nan": "x\n1\nnan\n",
+    "nan-first-row": "nan\n1\n",
+    "inf": "x\ninf\n",
+    "two-column-minus-inf": "t,v\n1,-inf\n2,3\n",
+}
+
+# spellings the csv-module reader accepted and series_from_csv rejects
+_EXOTIC_CSV = {
+    "underscore-digits": "x\n1_000\n2\n",
+    "empty-middle-cell": "1,,2\n3,,4\n",
+    "leading-empty-cell": ",1\n,2\n",
+    "form-feed-line": "x\n1\n\f\n2\n",
+    "quoted-comma-header": '"1,5"\n2\n',
+}
+
+
+def _write_bytes(path, text: str):
+    path.write_bytes(text.encode())  # no newline translation
+    return path
+
+
+@pytest.mark.parametrize("text", _ACCEPTED_CSV.values(), ids=_ACCEPTED_CSV.keys())
+def test_series_csv_reads_what_the_csv_loop_reader_read(tmp_path, text):
+    path = _write_bytes(tmp_path / "in.csv", text)
+    expected = _csv_loop_reader(path).values
+    assert np.array_equal(series_from_csv(path).values, expected)
+
+
+@pytest.mark.parametrize("text", _REJECTED_CSV.values(), ids=_REJECTED_CSV.keys())
+def test_series_csv_rejects_what_the_csv_loop_reader_rejected(tmp_path, text):
+    path = _write_bytes(tmp_path / "in.csv", text)
+    with pytest.raises(ValueError):
+        _csv_loop_reader(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # loadtxt's "input contained no data" among them
+        with pytest.raises(ValueError):
+            series_from_csv(path)
+
+
+@pytest.mark.parametrize("text", _EXOTIC_CSV.values(), ids=_EXOTIC_CSV.keys())
+def test_series_csv_rejects_exotic_spellings(tmp_path, text):
+    path = _write_bytes(tmp_path / "in.csv", text)
+    _csv_loop_reader(path)
+    with pytest.raises(ValueError):
+        series_from_csv(path)
+
+
+def test_series_csv_round_trip_n2000_matches_csv_loop_reader(tmp_path):
+    spec = ModelSpec(family="lm", gamma=(0.3,), sigma2=2.0)
+    s = simulate(spec, 2000, GenConfig(seed=11))
+    path = tmp_path / "series.csv"
+    series_to_csv(s, path)
+    back = series_from_csv(path).values
+    assert np.array_equal(back, s.values)
+    assert np.array_equal(back, _csv_loop_reader(path).values)
