@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import os
 import sys
@@ -87,12 +88,29 @@ def _write(path: str, write) -> None:
         raise SystemExit(_fail(f"cannot write {path}: {exc}"))
 
 
+def _stdout(text: str) -> None:
+    """Write text to stdout.  Through its byte buffer when it has one, in a
+    loop that checks each count: a write that meets a pipe closed part-way
+    through returns short, and the next one raises BrokenPipeError into
+    main.  A stream without a buffer, such as an in-process caller's
+    StringIO, takes the text as it is."""
+    stream = sys.stdout
+    buffer = getattr(stream, "buffer", None)
+    if buffer is None:
+        stream.write(text)
+        return
+    stream.flush()
+    data = memoryview(text.encode(stream.encoding))
+    while data:
+        data = data[buffer.write(data) :]
+
+
 def _emit(obj: dict, out: str | None) -> None:
-    text = json.dumps(obj, indent=2, allow_nan=False)
+    text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
     if out:
-        _write(out, lambda path: Path(path).write_text(text + "\n"))
+        _write(out, lambda path: Path(path).write_text(text))
     else:
-        print(text)
+        _stdout(text)
 
 
 def _spec_from_args(args) -> ModelSpec:
@@ -111,7 +129,9 @@ def cmd_simulate(args) -> int:
     if args.out:
         _write(args.out, lambda path: series_to_csv(series, path))
     else:
-        series_to_csv(series, sys.stdout)
+        text = io.StringIO()
+        series_to_csv(series, text)
+        _stdout(text.getvalue())
     return 0
 
 
@@ -149,7 +169,7 @@ def cmd_mc(args) -> int:
     if args.out:
         _write(args.out, report.to_json)
     if args.table:
-        print(emit_table(report, format=args.table))
+        _stdout(emit_table(report, format=args.table) + "\n")
     elif not args.out:
         _emit(report.as_dict(), None)
     return 0

@@ -15,15 +15,17 @@
   by the convergent polylogarithm series, with no truncation.  What does not
   depend on gamma is computed once per series length and cached:
   log(2 sin(lambda/2)) and e^(i lambda) for FARIMA, the table of
-  (-i lambda)^k / k! for LM, so an LM evaluation is one matrix-vector
-  product with zeta(1 + d - k).
+  (-i lambda)^k / k! for LM, kept as its real even-k and imaginary odd-k
+  halves, so an LM evaluation is two real matrix-vector products with
+  zeta(1 + d - k) and no complex BLAS call.
 * BLUE location estimator: its weights solve the Toeplitz system
   Gamma w = 1 by conjugate gradient with T. Chan's circulant
-  preconditioner, each step two FFT products, O(n log n) in all; a column
-  that is not a covariance raises ToeplitzError.  Plus the asymptotic
-  covariance of the QMLE (matrix M and the sigma2 block) and helper scales.
-  M is the exact limit information matrix, from its spectral form: in
-  closed form for FARIMA, by one fixed Gauss-Laguerre rule for LM.
+  preconditioner, each step two FFT products, O(n log n) in all, started
+  from the closed-form BLUE of fractional noise; a column that is not a
+  covariance raises ToeplitzError.  Plus the asymptotic covariance of the
+  QMLE (matrix M and the sigma2 block) and helper scales.  M is the exact
+  limit information matrix, from its spectral form: in closed form for
+  FARIMA, by one fixed Gauss-Laguerre rule for LM.
 
 Every fit is one bounded golden-section/parabolic search over d: a port of
 scipy.optimize's bounded minimize_scalar (Brent 1973) as a generator, which
@@ -45,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.special import digamma, roots_laguerre, zeta
+from scipy.special import digamma, zeta
 from scipy.special import gamma as gamma_fn
 
 from .models import (
@@ -58,7 +60,7 @@ from .models import (
     default_gamma_bounds,
 )
 from .simulate import Series
-from .specfun import beta_fn, riemann_zeta
+from .specfun import beta_fn, gauss_rule, riemann_zeta
 
 logger = logging.getLogger(__name__)
 
@@ -91,7 +93,8 @@ __all__ = [
 _BOUND_MARGIN = 1e-3
 _XATOL_1D = 1e-6
 _PINNED_TOL = 2e-6
-# terms of the LM polylogarithm series; each is at most half the previous one
+# terms of the LM polylogarithm series, an even number; each is at most half
+# the previous one
 _LM_SERIES_TERMS = 50
 # Gauss-Laguerre nodes of the LM information integral; 80 give 3e-13 relative
 _INFO_NODES = 80
@@ -264,15 +267,24 @@ def periodogram(series: Series) -> np.ndarray:
     return np.abs(dft[1 : m + 1]) ** 2 / (2.0 * math.pi * n)
 
 
-def _lm_powers(lam: np.ndarray) -> np.ndarray:
-    """(m, _LM_SERIES_TERMS) table of (-i lam)^k / k!, column 0 zero: the
-    d-independent factors of the LM polylogarithm series past its constant
-    term.  lam^k / k! is a running product along k, and (-i)^k is taken
-    exactly from its period of four."""
+def _lm_powers(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The d-independent factors (-i lam)^k / k!, k < _LM_SERIES_TERMS, of
+    the LM polylogarithm series past its constant term, as two contiguous
+    real (m, _LM_SERIES_TERMS / 2) halves: re holds the even k, where the
+    power is real, with column 0 zero, and im the imaginary parts of the
+    odd k.  lam^k / k! is a running product along k, and the sign of
+    (-i)^k is taken exactly from its period of four."""
     k = np.arange(1, _LM_SERIES_TERMS)
-    table = np.zeros((lam.size, _LM_SERIES_TERMS), dtype=complex)
-    table[:, 1:] = np.cumprod(lam[:, np.newaxis] / k, axis=1) * np.array([1, -1j, -1, 1j])[k % 4]
-    return table
+    table = np.zeros((lam.size, _LM_SERIES_TERMS))
+    table[:, 1:] = np.cumprod(lam[:, np.newaxis] / k, axis=1) * np.array([1, -1, -1, 1])[k % 4]
+    return np.ascontiguousarray(table[:, 0::2]), np.ascontiguousarray(table[:, 1::2])
+
+
+def _lm_series(powers: tuple[np.ndarray, np.ndarray], z: np.ndarray) -> np.ndarray:
+    """sum_k z_k (-i lam)^k / k! from the halves of _lm_powers: two real
+    matrix-vector products."""
+    re, im = powers
+    return re @ z[0::2] + 1j * (im @ z[1::2])
 
 
 def _lm_head(d: float, log_lam: np.ndarray) -> np.ndarray:
@@ -281,16 +293,19 @@ def _lm_head(d: float, log_lam: np.ndarray) -> np.ndarray:
     return gamma_fn(-d) * cmath.exp(0.5j * math.pi * d) * np.exp(d * log_lam)
 
 
-def _lm_transfer(d: float, log_lam: np.ndarray, powers: np.ndarray) -> np.ndarray:
+def _lm_transfer(
+    d: float, log_lam: np.ndarray, powers: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
     """1 - Li_s(e^(-i lam)) / zeta(s), s = 1 + d, lam in (0, pi], by the series
     Li_s(e^mu) = Gamma(1-s) (-mu)^(s-1) + sum_k zeta(s-k) mu^k / k!, |mu| < 2 pi
-    (Wood 1992), with log_lam = log(lam) and powers = _lm_powers(lam).  Its
-    k = 0 term is the normalizing zeta(s) and cancels exactly; against mpmath
-    it is within 1e-15 relative for d in [0.011, 0.489]."""
+    (Wood 1992), with log_lam = log(lam) and powers = _lm_powers(lam), whose
+    real halves make the sum over k two real products.  Its k = 0 term is the
+    normalizing zeta(s) and cancels exactly; against mpmath it is within
+    1e-15 relative for d in [0.011, 0.489]."""
     if not 0.0 < d < 1.0:
         raise ValueError(f"LM transfer function requires d in (0, 1), got {d}")
     z = zeta(1.0 + d - np.arange(_LM_SERIES_TERMS))
-    return -(_lm_head(d, log_lam) + powers @ z) / z[0]
+    return -(_lm_head(d, log_lam) + _lm_series(powers, z)) / z[0]
 
 
 def _shape_function(family: Family, lam: np.ndarray):
@@ -698,7 +713,9 @@ ESTIMATORS = {"qmle": fit_qmle, "whittle": fit_whittle}
 # ---------------------------------------------------------------------------
 
 
-def _lm_score(d: float, log_lam: np.ndarray, powers: np.ndarray) -> np.ndarray:
+def _lm_score(
+    d: float, log_lam: np.ndarray, powers: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
     """-d/dd log h for LM at lam in (0, pi], with log_lam = log(lam) and
     powers = _lm_powers(lam).
 
@@ -712,16 +729,18 @@ def _lm_score(d: float, log_lam: np.ndarray, powers: np.ndarray) -> np.ndarray:
     k = np.arange(_LM_SERIES_TERMS)
     z, dz = zeta(s - k), riemann_zeta(s - k, order=1)
     head = _lm_head(d, log_lam)
-    li = head + powers @ z
-    dli = head * (log_lam + 0.5j * math.pi - digamma(1.0 - s)) + powers @ dz
+    li = head + _lm_series(powers, z)
+    dli = head * (log_lam + 0.5j * math.pi - digamma(1.0 - s)) + _lm_series(powers, dz)
     return 2.0 * (dli / li).real - 2.0 * dz[0] / z[0]
 
 
 @lru_cache(maxsize=1)
-def _laguerre_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _laguerre_rule() -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """log(lam) at the nodes lam = pi e^(-v), the weights, and the LM power
-    table at the nodes."""
-    v, w = roots_laguerre(_INFO_NODES)
+    table at the nodes.  The Gauss-Laguerre rule comes from the recurrence
+    of the orthonormal Laguerre polynomials, diagonal 2k + 1, off-diagonal k."""
+    k = np.arange(float(_INFO_NODES))
+    v, w = gauss_rule(2.0 * k + 1.0, k[1:], 1.0)
     lam = math.pi * np.exp(-v)
     return np.log(lam), w, _lm_powers(lam)
 
@@ -763,6 +782,16 @@ def asymptotic_covariance(spec: ModelSpec, mu4: float = 3.0) -> AsymptoticInfo:
     return AsymptoticInfo(M=M, var_sigma2=spec.sigma2**2 * (mu4 - 1.0), mu4=mu4)
 
 
+def _fractional_noise_blue(d: float, n: int) -> np.ndarray:
+    """Adenstedt's (1974) closed-form BLUE weights of fractional noise with
+    memory d, unnormalized: w_j = Gamma(j-d) Gamma(n+1-j-d) / (Gamma(j)
+    Gamma(n+1-j)) / Gamma(1-d)^2, j = 1..n.  Gamma(j-d) / Gamma(j) is
+    Gamma(1-d) prod_(i<j) (1 - d/i), summed as logs by log1p, which keeps
+    the weights within 4e-17 of their sum up to n = 10,000."""
+    c = np.r_[0.0, np.cumsum(np.log1p(-d / np.arange(1.0, n)))]
+    return np.exp(c + c[::-1])
+
+
 def blue_weights(autocov: np.ndarray) -> np.ndarray:
     """Weights of the best linear unbiased mean estimator for the Toeplitz
     covariance Gamma with first column ``autocov``; normalized to sum to 1.
@@ -773,9 +802,14 @@ def blue_weights(autocov: np.ndarray) -> np.ndarray:
     of f at 0 (R. Chan & Ng 1996).  Each step costs one product with Gamma,
     an rfft/irfft pair on its circulant embedding of length N >= 2n - 1,
     and one rfft/irfft pair of length n for the preconditioner: O(n log n)
-    in all.  It stops when |1 - Gamma w| <= _CG_RTOL |1|, within about 30
-    steps inside the default bounds (about 110 at alpha = 0.9999).  On a
-    grid of all three families at n <= 2000 the weights are within 1e-12,
+    in all.  When 0 < r_1 < r_0 it starts from the BLUE weights v of the
+    fractional noise with the same lag-1 correlation, d = r_1 / (r_0 + r_1),
+    scaled by v^T 1 / (v^T Gamma v): the exact solution for FARIMA00, and
+    in any case no farther from the solution in the Gamma norm than w = 0,
+    where it starts otherwise.  It stops when |1 - Gamma w| <= _CG_RTOL |1|:
+    after at most 3 steps for FARIMA00, about 10 for LM and about 30 inside
+    the default FARIMA10 bounds (about 110 at alpha = 0.9999).  On a grid
+    of all three families at n <= 2000 the weights are within 1e-12,
     relative to the sum of their magnitudes, of a refined dense solve, and
     closer to it than Levinson's recursion.
 
@@ -802,30 +836,41 @@ def blue_weights(autocov: np.ndarray) -> np.ndarray:
         raise ToeplitzError(
             f"not a covariance: the circulant preconditioner has eigenvalue {pre.min():.3e}"
         )
-    w = np.zeros(n)
-    resid = np.ones(n)
-    z = irfft(rfft(resid) / pre, n)
-    p = z
-    rz = np.dot(resid, z)
-    for _ in range(_CG_MAXITER):
-        q = irfft(eig * rfft(p, N), N)[:n]
-        curvature = np.dot(p, q)
+
+    def gamma_times(v: np.ndarray) -> tuple[np.ndarray, float]:
+        """Gamma v and the curvature v^T Gamma v, which must be positive."""
+        gv = irfft(eig * rfft(v, N), N)[:n]
+        curvature = np.dot(v, gv)
         if not curvature > 0.0:
             raise ToeplitzError(f"not a covariance: curvature p^T Gamma p = {curvature:.3e}")
+        return gv, curvature
+
+    w = np.zeros(n)
+    resid = np.ones(n)
+    if n > 1 and 0.0 < r[1] < r[0]:
+        start = _fractional_noise_blue(r[1] / (r[0] + r[1]), n)
+        gv, curvature = gamma_times(start)
+        scale = start.sum() / curvature
+        w = scale * start
+        resid -= scale * gv
+    relative = math.sqrt(np.dot(resid, resid) / n)
+    steps = 0
+    p = rz = None
+    while relative > _CG_RTOL:
+        if steps == _CG_MAXITER:
+            raise ToeplitzError(
+                f"conjugate gradient stopped after {_CG_MAXITER} iterations "
+                f"at relative residual {relative:.1e}"
+            )
+        z = irfft(rfft(resid) / pre, n)
+        rz, rz_old = np.dot(resid, z), rz
+        p = z if p is None else z + (rz / rz_old) * p
+        q, curvature = gamma_times(p)
         step = rz / curvature
         w += step * p
         resid -= step * q
         relative = math.sqrt(np.dot(resid, resid) / n)
-        if relative <= _CG_RTOL:
-            break
-        z = irfft(rfft(resid) / pre, n)
-        rz, rz_old = np.dot(resid, z), rz
-        p = z + (rz / rz_old) * p
-    else:
-        raise ToeplitzError(
-            f"conjugate gradient stopped after {_CG_MAXITER} iterations "
-            f"at relative residual {relative:.1e}"
-        )
+        steps += 1
     total = w.sum()
     if not np.isfinite(total) or total <= 0.0:
         raise ToeplitzError(f"non-positive weight normalization {total!r}")

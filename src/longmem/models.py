@@ -32,9 +32,9 @@ from enum import Enum
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.special import rgamma, roots_sh_jacobi, zeta
+from scipy.special import rgamma, zeta
 
-from .specfun import log_gamma, riemann_zeta
+from .specfun import gauss_rule, log_gamma, riemann_zeta
 
 __all__ = [
     "Family",
@@ -317,21 +317,34 @@ def invert_series(c) -> np.ndarray:
 _TAIL_NODES = 16
 
 
+def _power_weight_rules(c) -> tuple[np.ndarray, np.ndarray]:
+    """_TAIL_NODES-point Gauss rules of the weights t^c on (0, 1), c > -1, one
+    row per exponent of c: the recurrence of the Jacobi polynomials
+    P^(0, c) moved from (-1, 1) to (0, 1), where the smallest nodes keep
+    their relative accuracy."""
+    c = np.asarray(c, dtype=float)[:, np.newaxis]
+    k = np.arange(1.0, _TAIL_NODES)
+    s = 2.0 * k + c
+    diagonal = np.hstack([(c + 1.0) / (c + 2.0), 0.5 + 0.5 * c * c / (s * (s + 2.0))])
+    offdiagonal = k * (k + c) / (s * np.sqrt((s - 1.0) * (s + 1.0)))
+    return gauss_rule(diagonal, offdiagonal, 1.0 / (c[:, 0] + 1.0))
+
+
 def _tail_corrections(C, beta, Ka: int, maxlag: int) -> np.ndarray:
     """Tail sum_{i > Ka - k} psi_i psi_(i+k) of psi_i = sum_j C_j i^beta_j for
     every lag k = 0..maxlag, by the midpoint rule as an integral from
     L = Ka - k + 1/2.  On x = L/t the pair (p, q) is t^(-beta_p-beta_q-2) times
     the smooth L^(beta_p+beta_q+1) (1 + kt/L)^beta_q; beta steps evenly, so the
-    pairs with equal p + q share one shifted Gauss-Jacobi rule for all lags."""
+    pairs with equal p + q share one Gauss rule of the weight t^(-2-e),
+    e = beta_p + beta_q, for all lags; the rules are built together."""
     k = np.arange(maxlag + 1.0)
     L = Ka - k + 0.5
     n, out = len(C), np.zeros(maxlag + 1)
-    for s in range(2 * n - 1):
-        qs = range(max(0, s - n + 1), min(s, n - 1) + 1)
-        e = beta[s - qs[0]] + beta[qs[0]]
-        t, w = roots_sh_jacobi(_TAIL_NODES, -1.0 - e, -1.0 - e)
+    pairs = [range(max(0, s - n + 1), min(s, n - 1) + 1) for s in range(2 * n - 1)]
+    e = np.array([beta[s - qs[0]] + beta[qs[0]] for s, qs in enumerate(pairs)])
+    for s, (qs, t, w) in enumerate(zip(pairs, *_power_weight_rules(-2.0 - e))):
         rho = np.log(1.0 + (k / L)[:, np.newaxis] * t)
-        out += L ** (e + 1.0) * sum(C[s - q] * C[q] * (np.exp(beta[q] * rho) @ w) for q in qs)
+        out += L ** (e[s] + 1.0) * sum(C[s - q] * C[q] * (np.exp(beta[q] * rho) @ w) for q in qs)
     return out
 
 

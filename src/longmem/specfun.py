@@ -1,9 +1,12 @@
-"""Special functions: log-gamma, Riemann zeta (with its first derivative), Beta.
+"""Special functions: log-gamma, Riemann zeta (with its first derivative),
+Beta, and Gauss quadrature rules.
 
 Everything here is pure and reentrant.  log_gamma, beta_fn and zeta itself
 are domain-checked wrappers over scipy.special; zeta' is computed here
 because scipy has none.  It is vectorized and covers every real s != 1: the
 LM information matrix needs zeta' at 1 + d, d and d - k for k up to 48.
+gauss_rule builds a Gauss rule from its three-term recurrence with numpy
+alone: scipy.special's roots_* functions would load all of scipy.linalg.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 from scipy.special import beta, digamma, gammaln, zeta
 from scipy.special import gamma as gamma_fn
 
-__all__ = ["log_gamma", "riemann_zeta", "beta_fn"]
+__all__ = ["log_gamma", "riemann_zeta", "beta_fn", "gauss_rule"]
 
 
 def log_gamma(x):
@@ -98,3 +101,50 @@ def beta_fn(a: float, b: float) -> float:
     if a <= 0.0 or b <= 0.0:
         raise ValueError(f"beta_fn requires positive arguments, got ({a}, {b})")
     return float(beta(a, b))
+
+
+def _recurrence(a: np.ndarray, b: np.ndarray, x: np.ndarray):
+    """p_(n-1)(x), and b_n p_n(x) with its derivative in x, by running the
+    recurrence of gauss_rule from p_0 = 1; the last axis of a, b and x runs
+    over k, k and the nodes, the others over rules."""
+    p_prev, p = np.zeros_like(x), np.ones_like(x)
+    dp_prev, dp = np.zeros_like(x), np.zeros_like(x)
+    # b_0 = 0, and b_n = 1 stands for the coefficient the caller leaves out
+    pad = np.ones(b.shape[:-1] + (1,))
+    b = np.concatenate([0.0 * pad, b, pad], axis=-1)
+    # k first, with a trailing axis that broadcasts over the nodes
+    a, b = (np.moveaxis(c, -1, 0)[..., np.newaxis] for c in (a, b))
+    for k in range(a.shape[0]):
+        shifted = x - a[k]
+        p_prev, p = p, (shifted * p - b[k] * p_prev) / b[k + 1]
+        dp_prev, dp = dp, (p_prev + shifted * dp - b[k] * dp_prev) / b[k + 1]
+    return p_prev, p, dp
+
+
+def gauss_rule(diagonal, offdiagonal, mu0) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss rule of a weight function of
+    total mass mu0 whose orthonormal polynomials satisfy
+    b_(k+1) p_(k+1)(x) = (x - a_k) p_k(x) - b_k p_(k-1)(x), given
+    diagonal = a_0..a_(n-1) and offdiagonal = b_1..b_(n-1) along their last
+    axis; leading axes, shared with mu0, stack rules built together.
+
+    Golub & Welsch (1969): the nodes are the eigenvalues of the symmetric
+    tridiagonal Jacobi matrix, here by np.linalg.eigvalsh, refined by one
+    Newton step on p_n run through the recurrence.  The weights are
+    1 / (p_(n-1) p_n') from the same pass, scaled to sum to mu0, as
+    scipy.special's roots_* functions take them; they keep their relative
+    accuracy where they are tiny, which eigenvector components would not."""
+    a = np.asarray(diagonal, dtype=float)
+    b = np.asarray(offdiagonal, dtype=float)
+    n = a.shape[-1] if a.ndim else 0
+    if n == 0 or b.shape != a.shape[:-1] + (n - 1,):
+        raise ValueError("gauss_rule needs n >= 1 diagonal and n - 1 off-diagonal coefficients")
+    jacobi = np.zeros(a.shape + (n,))
+    i = np.arange(n)
+    jacobi[..., i, i] = a
+    jacobi[..., i[:-1], i[1:]] = b
+    jacobi[..., i[1:], i[:-1]] = b
+    x = np.linalg.eigvalsh(jacobi)
+    p_last, p, dp = _recurrence(a, b, x)
+    w = 1.0 / (p_last * dp)
+    return x - p / dp, w * (np.asarray(mu0)[..., np.newaxis] / w.sum(axis=-1, keepdims=True))

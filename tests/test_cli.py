@@ -419,6 +419,26 @@ def _modules_loaded_by_cli_import(prefixes: tuple[str, ...]) -> str:
     return out.stdout.strip()
 
 
+def test_lm_work_loads_no_further_module():
+    # scipy.special's Gauss rules (roots_*) would load all of scipy.linalg
+    # at the first LM autocovariance or LM standard error.  numpy.polynomial
+    # is not checked by name: scipy.fft's own import already loads it
+    code = (
+        "import sys, longmem.cli; "
+        "from longmem.estimate import standard_errors; "
+        "from longmem.models import ModelSpec, autocovariance; "
+        "before = set(sys.modules); "
+        "autocovariance(ModelSpec('lm', (0.3,)), 2048); "
+        "assert standard_errors('lm', (0.3,), 1.0, 1000) is not None; "
+        "print(sorted(set(sys.modules) - before), "
+        "sorted(m for m in sys.modules if m.startswith('scipy.linalg')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=_subprocess_env(), capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[] []"
+
+
 def test_cli_import_loads_neither_scipy_signal_nor_scipy_stats():
     # scipy.signal pulls in scipy.stats, which every fresh process would pay
     # for at start-up
@@ -543,6 +563,25 @@ def test_cli_closed_stdout_exits_1_without_traceback(trended_series_csv, argv):
     )
     proc.stdout.close()  # before the child writes, so its first write meets a closed pipe
     _, err = proc.communicate(timeout=300)
+    assert proc.returncode == 1, err
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: stdout was closed before the output was written"
+    ]
+
+
+def test_cli_stdout_closed_part_way_through_exits_1():
+    # the first writes reach the pipe and the reader then closes it: the
+    # write that meets the closed pipe returns short, which must not pass
+    # as success
+    cmd = [sys.executable, "-m", "longmem.cli", "simulate", "--n", "200000"]
+    proc = subprocess.Popen(
+        cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_subprocess_env()
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=300)
+    err = err.decode()
     assert proc.returncode == 1, err
     assert "Traceback" not in err and "Exception ignored" not in err, err
     assert [line for line in err.splitlines() if line.startswith("error:")] == [

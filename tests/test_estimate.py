@@ -471,9 +471,47 @@ def test_lm_power_table_matches_complex_powers():
     k = np.arange(_LM_SERIES_TERMS)
     ref = (-1j * lam[:, np.newaxis]) ** k / np.array([math.factorial(i) for i in k], dtype=float)
     ref[:, 0] = 0.0
-    table = _lm_powers(lam)
-    assert table.shape == (lam.size, _LM_SERIES_TERMS)
-    assert np.all(np.abs(table - ref) <= 1e-14 * np.abs(ref))
+    re, im = _lm_powers(lam)
+    # even k are real, odd k imaginary: each half is a contiguous real table
+    for half, part in ((re, ref[:, 0::2].real), (im, ref[:, 1::2].imag)):
+        assert half.dtype == np.float64 and half.flags.c_contiguous
+        assert half.shape == (lam.size, _LM_SERIES_TERMS // 2)
+        assert np.all(np.abs(half - part) <= 1e-14 * np.abs(part))
+    assert not ref[:, 0::2].imag.any() and not ref[:, 1::2].real.any()
+
+
+def _complex_power_table(lam: np.ndarray) -> np.ndarray:
+    """The LM power table in one complex (m, _LM_SERIES_TERMS) array, column 0
+    zero: the oracle for the real halves."""
+    k = np.arange(1, estimate._LM_SERIES_TERMS)
+    table = np.zeros((lam.size, estimate._LM_SERIES_TERMS), dtype=complex)
+    table[:, 1:] = np.cumprod(lam[:, np.newaxis] / k, axis=1) * np.array([1, -1j, -1, 1j])[k % 4]
+    return table
+
+
+@pytest.mark.parametrize("d", [0.011, 0.2, 0.3, 0.489])
+def test_lm_series_products_match_a_complex_product(d):
+    from scipy.special import digamma, gamma, zeta
+
+    from longmem.estimate import _LM_SERIES_TERMS, _lm_powers, _lm_score, _lm_transfer
+    from longmem.specfun import riemann_zeta
+
+    lam = np.concatenate([fourier_frequencies(1000), [1e-6, 3.0, math.pi]])
+    log_lam, table = np.log(lam), _complex_power_table(lam)
+    s = 1.0 + d
+    k = np.arange(_LM_SERIES_TERMS)
+    z, dz = zeta(s - k), riemann_zeta(s - k, order=1)
+    head = gamma(-d) * np.exp(0.5j * math.pi * d) * np.exp(d * log_lam)
+    transfer = -(head + table @ z) / z[0]
+    li = head + table @ z
+    dli = head * (log_lam + 0.5j * math.pi - digamma(1.0 - s)) + table @ dz
+    score = 2.0 * (dli / li).real - 2.0 * dz[0] / z[0]
+    powers = _lm_powers(lam)
+    assert np.all(np.abs(_lm_transfer(d, log_lam, powers) - transfer) <= 1e-14 * np.abs(transfer))
+    # the score crosses zero near lam = 1 as a difference of two terms near
+    # 2 zeta'(s) / zeta(s), which sets its scale there
+    scale = np.abs(score) + abs(2.0 * dz[0] / z[0])
+    assert np.all(np.abs(_lm_score(d, log_lam, powers) - score) <= 1e-14 * scale)
 
 
 def test_spectral_density_rejects_zero():
@@ -803,11 +841,39 @@ def test_blue_weights_reject_a_column_that_is_not_a_covariance(column, error, me
 
 
 def test_blue_weights_iteration_cap_raises(monkeypatch):
-    # farima00 at d = 0.3, n = 500 needs about 9 steps
+    # lm at d = 0.45, n = 500 needs about 10 steps from its start
     monkeypatch.setattr(estimate, "_CG_MAXITER", 2)
-    r = autocovariance(spec_of("farima00", 0.3), 499)
+    r = autocovariance(spec_of("lm", 0.45), 499)
     with pytest.raises(estimate.ToeplitzError, match="after 2 iterations at relative residual"):
         blue_weights(r)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 25])
+@pytest.mark.parametrize("d", [0.011, 0.2, 0.489])
+def test_fractional_noise_start_is_the_exact_blue(d, n):
+    # Adenstedt's closed form against a 50-digit solve of Gamma w = 1
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        dd = mp.mpf(d)
+        r = [mp.gamma(1 - 2 * dd) / mp.gamma(1 - dd) ** 2]
+        for k in range(1, n):
+            r.append(r[-1] * (k - 1 + dd) / (k - dd))
+        gamma = mp.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                gamma[i, j] = r[abs(i - j)]
+        exact = mp.lu_solve(gamma, mp.ones(n, 1))
+        exact = np.array([float(v / sum(exact)) for v in exact])
+    start = estimate._fractional_noise_blue(d, n)
+    assert np.max(np.abs(start / start.sum() - exact)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [500, 2000])
+@pytest.mark.parametrize("d", [0.011, 0.2, 0.3, 0.489])
+def test_blue_weights_of_fractional_noise_take_at_most_three_steps(monkeypatch, d, n):
+    monkeypatch.setattr(estimate, "_CG_MAXITER", 3)
+    w = blue_weights(autocovariance(spec_of("farima00", d), n - 1))
+    assert w.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_blue_weights_near_unit_root_end_by_the_residual_test():

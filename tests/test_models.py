@@ -22,6 +22,7 @@ from longmem.models import (
 from longmem.models import (
     _autocov_by_convolution,
     _ma_coeffs_gamma,
+    _power_weight_rules,
     _tail_corrections,
     _weight_expansion,
 )
@@ -454,6 +455,29 @@ def test_autocov_convolution_route_matches_closed_form():
         conv = _autocov_by_convolution(Family.FARIMA00, (d,), 19_999)
         closed = autocovariance(spec_of("farima00", d), 19_999)
         assert np.max(np.abs(conv - closed)) / closed[0] < 1e-9, d
+
+
+@pytest.mark.parametrize("family", ["farima00", "lm"])
+@pytest.mark.parametrize("d", [0.011, 0.2, 0.489])
+def test_tail_rules_match_scipy_and_mpmath(family, d):
+    # every rule _tail_corrections builds: weight t^(-2-e) on (0, 1) for each
+    # exponent sum e = beta_p + beta_q.  scipy's roots_sh_jacobi maps its
+    # nodes from (-1, 1) and so loses up to 5e-13 relative at the smallest
+    # of them; the exact zeros come from mpmath
+    from scipy.special import roots_sh_jacobi
+
+    mp = pytest.importorskip("mpmath")
+    _, beta = _weight_expansion(Family(family), d)
+    exponents = sorted({beta[p] + beta[q] for p in range(beta.size) for q in range(beta.size)})
+    for e, t, w in zip(exponents, *_power_weight_rules(-2.0 - np.array(exponents))):
+        ref_t, ref_w = roots_sh_jacobi(models._TAIL_NODES, -1.0 - e, -1.0 - e)
+        assert np.all(np.abs(w - ref_w) <= 1e-10 * ref_w), e
+        assert np.all(np.abs(t - ref_t) <= 1e-12 * ref_t), e
+        with mp.workdps(30):
+            c = mp.mpf(-2.0 - e)
+            exact = [mp.findroot(lambda x: mp.jacobi(t.size, 0, c, 2 * x - 1), v) for v in ref_t]
+        exact = np.array(exact, dtype=float)
+        assert np.all(np.abs(t - exact) <= 1e-13 * exact), e
 
 
 @pytest.mark.parametrize("family, gamma", [("lm", (0.489,)), ("farima00", (0.489,))])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from longmem.specfun import beta_fn, log_gamma, riemann_zeta
+from longmem.specfun import beta_fn, gauss_rule, log_gamma, riemann_zeta
 
 
 def test_log_gamma_known_values():
@@ -147,3 +147,39 @@ def test_beta_domain_errors():
         beta_fn(0.0, 1.0)
     with pytest.raises(ValueError):
         beta_fn(1.0, -2.0)
+
+
+# ---------------------------------------------------------------------------
+# Gauss rules from a three-term recurrence
+# ---------------------------------------------------------------------------
+
+
+def test_gauss_rule_matches_scipy_laguerre_rule():
+    # the 80-node rule of the LM information matrix: orthonormal Laguerre
+    # polynomials have diagonal 2k + 1 and off-diagonal k
+    from scipy.special import roots_laguerre
+
+    k = np.arange(80.0)
+    x, w = gauss_rule(2.0 * k + 1.0, k[1:], 1.0)
+    ref_x, ref_w = roots_laguerre(80)
+    assert np.all(np.abs(x - ref_x) <= 1e-13 * ref_x)
+    # the weights fall to 2e-128; their relative accuracy holds above 1e-100
+    big = ref_w > 1e-100
+    assert np.all(np.abs(w - ref_w)[big] <= 1e-10 * ref_w[big])
+    assert np.all(w > 0.0)
+
+
+def test_gauss_rule_integrates_polynomials_exactly():
+    # n Legendre nodes on (-1, 1) integrate x^j exactly for j < 2n
+    n = 6
+    k = np.arange(1.0, n)
+    x, w = gauss_rule(np.zeros(n), k / np.sqrt(4.0 * k * k - 1.0), 2.0)
+    for j in range(2 * n):
+        assert np.dot(w, x**j) == pytest.approx((1 + (-1) ** j) / (j + 1.0), abs=1e-14)
+    assert gauss_rule([0.5], [], 3.0) == (pytest.approx([0.5]), pytest.approx([3.0]))
+
+
+def test_gauss_rule_rejects_mismatched_coefficients():
+    for diagonal, offdiagonal in [([], []), ([1.0, 2.0], []), ([1.0], [0.5])]:
+        with pytest.raises(ValueError, match="off-diagonal"):
+            gauss_rule(diagonal, offdiagonal, 1.0)
