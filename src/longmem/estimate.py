@@ -33,7 +33,8 @@ yields each d and is sent its contrast, so that fit_batch can run the
 searches of many series in lockstep; fit_qmle and fit_whittle are its
 one-series case.  For FARIMA10 the contrast at each d is minimized over
 alpha first: in closed form for the QMLE, whose S_n is quadratic in alpha,
-and by an inner bounded search, driven serially, for Whittle.
+and for Whittle by alpha searches in lockstep, each evaluation O(1) given
+two frequency sums at d.  A fit's iterations count its search over d.
 """
 
 from __future__ import annotations
@@ -120,8 +121,7 @@ class FitResult:
     gamma_hat: tuple[float, ...]
     sigma2_hat: float
     objective: float
-    # objective evaluations (nfev), not optimizer iterations; a FARIMA10
-    # Whittle fit counts every evaluation of its inner search over alpha
+    # evaluations of the search over d (nfev), not optimizer iterations
     iterations: int
     converged: bool
     boundary_pinned: bool = False
@@ -332,11 +332,6 @@ def _whittle_shape(family: Family, n: int):
     return _shape_function(family, fourier_frequencies(n))
 
 
-def _spectral_shape(family: Family, gamma, lam: np.ndarray) -> np.ndarray:
-    """h_gamma(lam) on one grid, for lam in (0, pi]."""
-    return _shape_function(family, lam)(gamma)
-
-
 def spectral_density(spec: ModelSpec, lam):
     """Spectral density f(lambda) for lambda in (0, pi] (vectorized).
 
@@ -349,7 +344,7 @@ def spectral_density(spec: ModelSpec, lam):
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
     if np.any((lam_arr <= 0.0) | (lam_arr > math.pi)):
         raise ValueError("lambda must lie in (0, pi]; the spectral density has a pole at 0")
-    h = _spectral_shape(Family(spec.family), spec.gamma, lam_arr)
+    h = _shape_function(Family(spec.family), lam_arr)(spec.gamma)
     f = spec.sigma2 * h / (2.0 * math.pi)
     return f if np.ndim(lam) else float(f[0])
 
@@ -462,59 +457,46 @@ def _bounded_search(bounds, xatol: float = _XATOL_1D, maxiter: int = 500):
     return xf, fx, num, status == 0
 
 
-def _minimize_scalar(fun, bounds) -> tuple[float, float, int, bool]:
-    """One _bounded_search driven serially: (x, fun, nfev, success)."""
-    search = _bounded_search(bounds)
+def _evaluate(contrasts, pending: list[int], xs: list[float]) -> list:
+    """contrasts(pending, xs); when that raises, each row on its own, so that
+    a row whose evaluation fails holds its exception and takes no other row
+    with it."""
     try:
-        x = next(search)
-        while True:
-            x = search.send(fun(x))
-    except StopIteration as stop:
-        return stop.value
-
-
-def _evaluate(rows, pending: list[int], ds: list[float]) -> list:
-    """rows.contrasts(pending, ds); when that raises, each row on its own, so
-    that a row whose evaluation fails holds its exception and takes no other
-    row with it."""
-    try:
-        return rows.contrasts(pending, ds)
+        return contrasts(pending, xs)
     except Exception as exc:
         if len(pending) == 1:
             return [exc]
-    return [_evaluate(rows, [i], [d])[0] for i, d in zip(pending, ds)]
+    return [_evaluate(contrasts, [i], [x])[0] for i, x in zip(pending, xs)]
 
 
-def _lockstep(rows, count: int, bounds) -> list:
-    """One bounded search over d per row, all run in lockstep: each step
-    sends the pending d of every unfinished row to one rows.contrasts call.
+def _lockstep(contrasts, count: int, bounds) -> list:
+    """One bounded search per row, all run in lockstep: each step sends the
+    pending x of every unfinished row to one contrasts call.
 
-    contrasts returns, per row, (value, gamma, nfev, ok): gamma is (d,), or
-    (d, alpha) with the alpha that minimizes the contrast at that d; nfev
-    counts the contrast evaluations behind it and ok says whether that
-    minimization over alpha succeeded.  Each row ends as (its contrast at
-    d_hat, total nfev, success of the search over d), or as the exception
-    its evaluation raised."""
+    contrasts returns, per row, (value, gamma, ok): gamma is the parameter
+    of the value, whose alpha minimizes a FARIMA10 contrast at that d, and ok
+    says whether that minimization succeeded.  Each row ends as (its tuple at
+    x_hat, the search's nfev, its success), or as the exception its
+    evaluation raised.  fit_batch's searches over d and the FARIMA10 Whittle
+    searches over alpha run here."""
     searches = [_bounded_search(bounds) for _ in range(count)]
     pending = {i: next(search) for i, search in enumerate(searches)}
     seen: list[dict] = [{} for _ in range(count)]
-    nfev = [0] * count
     ended: list = [None] * count
     while pending:
         at = list(pending)
-        ds = list(pending.values())
-        for i, d, out in zip(at, ds, _evaluate(rows, at, ds)):
+        xs = list(pending.values())
+        for i, x, out in zip(at, xs, _evaluate(contrasts, at, xs)):
             if isinstance(out, Exception):
                 ended[i] = out
                 del pending[i]
                 continue
-            seen[i][d] = out
-            nfev[i] += out[2]
+            seen[i][x] = out
             try:
                 pending[i] = searches[i].send(out[0])
             except StopIteration as stop:
-                x, _, _, success = stop.value
-                ended[i] = (seen[i][x], nfev[i], success)
+                x, _, nfev, success = stop.value
+                ended[i] = (seen[i][x], nfev, success)
                 del pending[i]
     return ended
 
@@ -551,17 +533,17 @@ class _QmleRows:
 
     def _profile(self, w: np.ndarray, d: float) -> tuple:
         if self.family is not Family.FARIMA10:
-            return float(np.dot(w, w)), (d,), 1, True
+            return float(np.dot(w, w)), (d,), True
         # the residual of (1 - z)^d (1 - alpha z) is w_t - alpha w_(t-1), with
         # w_0 = 0: S_n is quadratic in alpha
         ss = float(np.dot(w[:-1], w[:-1]))
         alpha = float(np.dot(w[1:], w[:-1])) / ss if ss > 0.0 else 0.0
         alpha = min(max(alpha, self.bounds[1][0]), self.bounds[1][1])
         resid = np.concatenate([w[:1], w[1:] - alpha * w[:-1]])
-        return float(np.dot(resid, resid)), (d, alpha), 1, True
+        return float(np.dot(resid, resid)), (d, alpha), True
 
     def result(self, i: int, found: tuple, nfev: int, success: bool) -> FitResult:
-        s_min, gamma_hat, _, ok = found
+        s_min, gamma_hat, ok = found
         return FitResult(
             estimator="qmle",
             family=self.family,
@@ -578,40 +560,58 @@ class _WhittleRows:
     """Whittle contrasts of equal-length series, one row at a time: the
     profiled m log sigma2_hat(gamma) + sum_j log h_gamma(lambda_j), with
     sigma2_hat(gamma) = (2 pi / m) sum_j I(lambda_j) / h_gamma(lambda_j).
-    FARIMA10 minimizes it over alpha at each d by an inner bounded search."""
+    FARIMA10 rows search alpha in lockstep on two sums at d (_profile_alpha)."""
 
     def __init__(self, series, family: Family, bounds):
         n = series[0].n
         _check_length(n, 4, "Whittle")
-        self.family, self.bounds = family, bounds
+        self.family, self.bounds, self.n = family, bounds, n
         # a zero periodogram fails its row at its first evaluation
         self.pgrams = [p if p.any() else None for p in map(periodogram, series)]
         self.shape = _whittle_shape(family, n)
+        if family is Family.FARIMA10:
+            self.h00 = _whittle_shape(Family.FARIMA00, n)
+            self.cos = np.cos(fourier_frequencies(n))
 
-    def _profiled(self, pgram: np.ndarray, gamma) -> float:
-        m = pgram.size
-        h = self.shape(gamma)
-        s2 = (2.0 * math.pi / m) * float((pgram / h).sum())
-        return m * math.log(s2) + float(np.log(h).sum())
+    def _profiled(self, shape, pgram: np.ndarray, d: float) -> tuple:
+        """The contrast of shape at (d,), and I / h."""
+        h = shape((d,))
+        w = pgram / h
+        m = w.size
+        return m * math.log((2.0 * math.pi / m) * float(w.sum())) + float(np.log(h).sum()), w
 
     def contrasts(self, pending: list[int], ds: list[float]) -> list[tuple]:
-        return [self._contrast(self.pgrams[i], d) for i, d in zip(pending, ds)]
-
-    def _contrast(self, pgram: np.ndarray | None, d: float) -> tuple:
-        if pgram is None:
+        pgrams = [self.pgrams[i] for i in pending]
+        if any(p is None for p in pgrams):
             raise ValueError(
                 "the periodogram is zero at every Fourier frequency (a constant series?), "
                 "so the Whittle contrast is undefined"
             )
         if self.family is not Family.FARIMA10:
-            return self._profiled(pgram, (d,)), (d,), 1, True
-        alpha, fun, nfev, ok = _minimize_scalar(
-            lambda a: self._profiled(pgram, (d, a)), self.bounds[1]
-        )
-        return float(fun), (d, float(alpha)), nfev, ok
+            return [(self._profiled(self.shape, p, d)[0], (d,), True) for p, d in zip(pgrams, ds)]
+        sums = [self._sums(p, d) for p, d in zip(pgrams, ds)]
+        profile = lambda at, xs: [self._profile_alpha(*sums[k], x) for k, x in zip(at, xs)]
+        ended = _lockstep(profile, len(sums), self.bounds[1])
+        return [e if isinstance(e, Exception) else (*e[0][:2], e[2]) for e in ended]
+
+    def _sums(self, pgram: np.ndarray, d: float) -> tuple:
+        """(the FARIMA00 contrast at d, B / A, d), with A = sum_j I_j / h00_j,
+        B = sum_j I_j cos(lambda_j) / h00_j and h00 the FARIMA00 shape."""
+        v0, w = self._profiled(self.h00, pgram, d)
+        return v0, float(w @ self.cos) / float(w.sum()), d
+
+    def _profile_alpha(self, v0: float, rho: float, d: float, alpha: float) -> tuple:
+        """The contrast at (d, alpha), O(1): h = h00 / |1 - alpha e^(i lambda)|^2
+        gives sum_j I_j / h_j = A (1 + alpha^2 - 2 alpha rho); 1 - alpha w over
+        the n-th roots of unity w multiplies to 1 - alpha^n, so sum_j log |1 -
+        alpha e^(i lambda_j)|^2 = log((1 - alpha^n) / (1 - alpha)) - [n even]
+        log(1 + alpha)."""
+        n = self.n
+        roots = math.log1p(-(alpha**n)) - math.log1p(-alpha) - (1 - n % 2) * math.log1p(alpha)
+        return v0 + (n - 1) // 2 * math.log1p(alpha * (alpha - 2.0 * rho)) - roots, (d, alpha), True
 
     def result(self, i: int, found: tuple, nfev: int, success: bool) -> FitResult:
-        _, gamma_hat, _, ok = found
+        _, gamma_hat, ok = found
         pgram = self.pgrams[i]
         m = pgram.size
         h_hat = self.shape(gamma_hat)
@@ -657,7 +657,7 @@ def fit_batch(
     opt_bounds = _fit_bounds(family, bounds)
     try:
         rows = _ROWS[estimator](series, family, opt_bounds)
-        searches = _lockstep(rows, len(series), opt_bounds[0])
+        searches = _lockstep(rows.contrasts, len(series), opt_bounds[0])
     except Exception as exc:  # a check every row shares failed
         return [exc] * len(series)
     return [

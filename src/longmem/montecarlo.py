@@ -99,7 +99,6 @@ class MCConfig:
     estimators: tuple[str, ...] = ("qmle",)
     base_seed: int = 20240915
     generator: str = "exact-gaussian"
-    gen_K_mult: int = 10  # truncated-ma: K = mult * n
 
     def __post_init__(self):
         _coerce(self, "family", Family)
@@ -108,7 +107,7 @@ class MCConfig:
         )
         _coerce(self, "n_grid", lambda ns: tuple(operator.index(n) for n in ns))
         _coerce(self, "estimators", _names)
-        for name in ("replications", "base_seed", "gen_K_mult"):
+        for name in ("replications", "base_seed"):
             _coerce(self, name, operator.index)
         for name in ("cells", "n_grid", "estimators"):
             if not getattr(self, name):
@@ -215,7 +214,6 @@ def _run_replications(config, spec, n, n_index, cell_index, estimates):
                 GenConfig(
                     generator=config.generator,
                     seed=derive_seed(config.base_seed, cell_index, n_index, r),
-                    K=config.gen_K_mult * n,
                 ),
             )
             for r in block

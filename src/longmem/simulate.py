@@ -211,16 +211,16 @@ def series_from_csv(path) -> Series:
     """Read a series: one value per line, or two columns time,value where rows
     are sorted by (time, value) and the time column dropped.
 
-    The accepted grammar: LF, CRLF or CR line ends; an optional header, which
-    is the first non-empty line when one of its cells is not a number; cells
-    separated by ``,``, each a Python float literal without ``_``, optionally
-    quoted with ``"`` and surrounded by spaces or tabs; one trailing ``,`` or
-    more on a line; blank and whitespace-only lines anywhere.  Every data row
-    has the same number of cells, 1 or 2, and no cell is empty.  Raises
-    ``ValueError`` on anything else, on an empty file or a header alone, and
-    (through ``Series``) on a non-finite value.
+    The accepted grammar: UTF-8, with or without a byte-order mark; LF, CRLF or
+    CR line ends; an optional header, which is the first non-empty line when one
+    of its cells is not a number; cells separated by ``,``, each a Python float
+    literal without ``_``, optionally quoted with ``"`` and surrounded by spaces
+    or tabs; one trailing ``,`` or more on a line; blank and whitespace-only
+    lines anywhere.  Every data row has the same number of cells, 1 or 2, and
+    no cell is empty.  Raises ``ValueError`` on anything else, on an empty file
+    or a header alone, and (through ``Series``) on a non-finite value.
     """
-    with open(path) as fh:  # universal newlines: CRLF and CR arrive as LF
+    with open(path, encoding="utf-8-sig") as fh:  # drops a BOM; CRLF, CR arrive as LF
         for first in fh:
             cells = [c.strip().strip('"') for c in first.split(",")]
             if any(cells):

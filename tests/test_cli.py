@@ -108,6 +108,19 @@ def test_cli_fit_equals_library_fit(tmp_path):
     assert cli_fields == lib_fields
 
 
+def test_cli_fit_reads_a_byte_order_mark(tmp_path, capsys):
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    spec = ModelSpec(family="lm", gamma=(0.25,), sigma2=2.0)
+    values = simulate(spec, 500, GenConfig(seed=6)).values
+    plain.write_text("".join(f"{v!r}\n" for v in values.tolist()))
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    outputs = []
+    for path in (plain, bom):
+        assert run_cli("fit", str(path), "--family", "lm") == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_cli_fit_whittle_estimator(tmp_path):
     data = tmp_path / "sim.csv"
     out = tmp_path / "fit.json"
@@ -202,6 +215,7 @@ _GOOD_MC = {
         (_GOOD_MC | {"family": "farima01"}, "family: "),
         (_GOOD_MC | {"n_grid": 200}, "n_grid: "),
         (_GOOD_MC | {"replication": 9}, "'replication'"),
+        (_GOOD_MC | {"gen_K_mult": 10}, "'gen_K_mult'"),
         (_GOOD_MC | {"cells": []}, "cells: "),
         (_GOOD_MC | {"n_grid": []}, "n_grid: "),
         (_GOOD_MC | {"estimators": []}, "estimators: "),
@@ -216,6 +230,7 @@ _GOOD_MC = {
         "unknown-family",
         "n_grid-not-a-list",
         "unknown-key",
+        "removed-gen_K_mult",
         "no-cells",
         "empty-n_grid",
         "no-estimators",

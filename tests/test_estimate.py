@@ -27,7 +27,7 @@ from longmem.estimate import (
     standard_errors,
     truncated_predictor,
 )
-from longmem.models import ModelSpec, ar_coeffs, autocovariance, dar_coeffs, ma_coeffs
+from longmem.models import Family, ModelSpec, ar_coeffs, autocovariance, dar_coeffs, ma_coeffs
 from longmem.simulate import GenConfig, Series, simulate, white_noise
 
 
@@ -267,15 +267,23 @@ def test_fit_batch_isolates_a_series_that_cannot_be_fitted():
         fit_batch([good[0], Series(values=good[1].values[:300])], "lm")
 
 
-def test_fit_whittle_farima10_two_dimensional():
+def test_fit_whittle_farima10_two_dimensional(monkeypatch):
     series = sim("farima10", (0.2, 0.5), 4.0, 2000, seed=53)
+    contrasts = estimate._WhittleRows.contrasts
+    sent = []
+
+    def counting(self, pending, ds):
+        sent.extend(ds)
+        return contrasts(self, pending, ds)
+
+    monkeypatch.setattr(estimate._WhittleRows, "contrasts", counting)
     fit = fit_whittle(series, "farima10")
     assert fit.converged and not fit.boundary_pinned
     assert abs(fit.gamma_hat[0] - 0.2) < 0.15
     assert abs(fit.gamma_hat[1] - 0.5) < 0.15
     assert abs(fit.sigma2_hat - 4.0) < 0.5
-    # every evaluation of the inner search over alpha is counted
-    assert fit.iterations > 20
+    # iterations counts the evaluations of the search over d alone
+    assert fit.iterations == len(sent)
 
 
 def _whittle_profiled(series, gamma, family="farima10"):
@@ -285,6 +293,23 @@ def _whittle_profiled(series, gamma, family="farima10"):
     spec = spec_of(family, *gamma, sigma2=2.0 * math.pi)
     h = spectral_density(spec, fourier_frequencies(series.n))
     return pgram.size * math.log(2.0 * math.pi * np.mean(pgram / h)) + np.sum(np.log(h))
+
+
+@pytest.mark.parametrize("n", [300, 301, 1000, 1001])
+def test_whittle_farima10_alpha_contrast_is_the_public_one(n):
+    # the O(1) contrast in alpha, from the two frequency sums at d, against
+    # the profiled contrast built from spectral_density, up to alpha within
+    # 1e-3 of both default bounds and for odd and even n
+    series = sim("farima10", (0.3, 0.5), 2.0, n, seed=89)
+    bounds = estimate._fit_bounds("farima10", None)
+    rows = estimate._WhittleRows([series], Family.FARIMA10, bounds)
+    for d in (0.011, 0.25, 0.489):
+        sums = rows._sums(rows.pgrams[0], d)
+        for alpha in (-0.9899, -0.989, -0.5, 0.0, 0.3, 0.989, 0.9899):
+            value, gamma, ok = rows._profile_alpha(*sums, alpha)
+            assert gamma == (d, alpha) and ok
+            direct = _whittle_profiled(series, (d, alpha))
+            assert value == pytest.approx(direct, rel=1e-12, abs=0.0), (d, alpha)
 
 
 @pytest.mark.parametrize(

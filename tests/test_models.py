@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from longmem import models
-from longmem.estimate import _spectral_shape
+from longmem.estimate import _shape_function
 from longmem.models import (
     Family,
     ModelSpec,
@@ -533,7 +533,7 @@ def _autocovariance_by_quadrature(family, gamma, k: int) -> float:
 
     def smooth(lam):
         lam = max(lam, 1e-300)  # QAWS may sample the endpoint; h lam^(2d) is finite there
-        h = _spectral_shape(Family(family), gamma, np.array([lam]))[0]
+        h = _shape_function(Family(family), np.array([lam]))(gamma)[0]
         return h * lam ** (2.0 * d) * math.cos(k * lam)
 
     val, _ = quad(

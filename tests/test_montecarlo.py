@@ -175,7 +175,7 @@ def test_failures_are_counted_and_excluded():
 
 
 def test_truncated_ma_generator_campaign():
-    config = small_config(generator="truncated-ma", gen_K_mult=10)
+    config = small_config(generator="truncated-ma")
     report = run_mc(config)
     rec = report.lookup(0, 200, "qmle", "d")
     assert rec.replications_used > 0

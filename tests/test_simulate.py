@@ -198,6 +198,15 @@ def test_series_csv_headerless(tmp_path):
     assert np.array_equal(series_from_csv(path).values, [1.5, -2.0, 0.25])
 
 
+@pytest.mark.parametrize("text", ["1.5\n2.5\n3.5\n4.5\n", "x\n1.5\n2.5\n3.5\n4.5\n"])
+def test_series_csv_byte_order_mark(tmp_path, text):
+    # float() rejects "\ufeff1.5": a BOM left in the text would make the first
+    # value of a headerless file pass for a header
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert np.array_equal(series_from_csv(path).values, [1.5, 2.5, 3.5, 4.5])
+
+
 def test_series_csv_malformed(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b,c\n1,2,3\n")
