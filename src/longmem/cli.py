@@ -12,7 +12,6 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,23 +29,7 @@ from .simulate import (
     simulate,
 )
 
-__all__ = ["AnalysisResult", "detrend_linear", "main"]
-
-
-@dataclass
-class AnalysisResult:
-    trend: tuple[float, float] | None  # (intercept, slope) of the OLS detrend
-    fits: list[FitResult]
-    mu_blue: float
-    residual_mu4: float
-
-    def as_dict(self) -> dict:
-        return {
-            "trend": list(self.trend) if self.trend is not None else None,
-            "fits": [fit.as_dict() for fit in self.fits],
-            "mu_blue": self.mu_blue,
-            "residual_mu4": self.residual_mu4,
-        }
+__all__ = ["detrend_linear", "main"]
 
 
 def detrend_linear(series: Series) -> tuple[Series, float, float]:
@@ -144,9 +127,11 @@ def cmd_fit(args) -> int:
     except ValueError as exc:
         return _fail(str(exc))
     try:
-        fit = ESTIMATORS[args.estimator](series, family, with_stderr=args.stderr)
+        fit = ESTIMATORS[args.estimator](series, family)
     except ValueError as exc:
         return _fail(str(exc))
+    if args.stderr:
+        fit.stderr = standard_errors(family, fit.gamma_hat, fit.sigma2_hat, series.n)
     _emit(fit.as_dict(), args.out)
     return 0 if fit.converged else 2
 
@@ -188,13 +173,13 @@ def cmd_blue(args) -> int:
 
 def cmd_analyze(args) -> int:
     series = _load_series(args.input)
-    trend = None
+    trend = None  # [intercept, slope] of the OLS detrend
     work = series
     try:
         families = [Family(f) for f in (args.family or ["farima00", "lm"])]
         if args.detrend:
             work, intercept, slope = detrend_linear(series)
-            trend = (intercept, slope)
+            trend = [intercept, slope]
     except ValueError as exc:
         return _fail(str(exc))
     estimators = args.estimator or ["qmle"]
@@ -229,13 +214,13 @@ def cmd_analyze(args) -> int:
         mu_blue = blue_mean(series, best_spec)  # mean of the raw, non-detrended series
     except (ValueError, RuntimeError) as exc:
         return _fail(f"BLUE mean under the best fit failed: {exc}", code=2)
-    result = AnalysisResult(
-        trend=trend,
-        fits=fits,
-        mu_blue=mu_blue,
-        residual_mu4=mu4[i_best],
-    )
-    _emit(result.as_dict(), args.out)
+    report = {
+        "trend": trend,
+        "fits": [fit.as_dict() for fit in fits],
+        "mu_blue": mu_blue,
+        "residual_mu4": mu4[i_best],
+    }
+    _emit(report, args.out)
     return 2 if failed else 0
 
 

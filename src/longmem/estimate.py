@@ -125,7 +125,8 @@ class FitResult:
     iterations: int
     converged: bool
     boundary_pinned: bool = False
-    stderr: tuple[float, ...] | None = None  # gamma coordinates, then sigma2
+    # gamma coordinates, then sigma2; a fit leaves it None, standard_errors gives it
+    stderr: tuple[float, ...] | None = None
 
     def as_dict(self) -> dict:
         return {
@@ -542,18 +543,9 @@ class _QmleRows:
         resid = np.concatenate([w[:1], w[1:] - alpha * w[:-1]])
         return float(np.dot(resid, resid)), (d, alpha), True
 
-    def result(self, i: int, found: tuple, nfev: int, success: bool) -> FitResult:
-        s_min, gamma_hat, ok = found
-        return FitResult(
-            estimator="qmle",
-            family=self.family,
-            gamma_hat=gamma_hat,
-            sigma2_hat=s_min / self.values.shape[1],
-            objective=s_min,
-            iterations=nfev,
-            converged=success and ok,
-            boundary_pinned=_pinned(gamma_hat, self.bounds),
-        )
+    def finish(self, i: int, s_min: float, gamma_hat: tuple) -> tuple[float, float]:
+        """(sigma2_hat, objective) = (S_n / n, S_n) at gamma_hat."""
+        return s_min / self.values.shape[1], s_min
 
 
 class _WhittleRows:
@@ -610,23 +602,14 @@ class _WhittleRows:
         roots = math.log1p(-(alpha**n)) - math.log1p(-alpha) - (1 - n % 2) * math.log1p(alpha)
         return v0 + (n - 1) // 2 * math.log1p(alpha * (alpha - 2.0 * rho)) - roots, (d, alpha), True
 
-    def result(self, i: int, found: tuple, nfev: int, success: bool) -> FitResult:
-        _, gamma_hat, ok = found
+    def finish(self, i: int, value: float, gamma_hat: tuple) -> tuple[float, float]:
+        """(sigma2_hat, objective) from the shape at gamma_hat: the profiled
+        variance and the unprofiled contrast sum_j log f_j + I_j / f_j."""
         pgram = self.pgrams[i]
-        m = pgram.size
         h_hat = self.shape(gamma_hat)
-        sigma2_hat = (2.0 * math.pi / m) * float(np.sum(pgram / h_hat))
+        sigma2_hat = (2.0 * math.pi / pgram.size) * float(np.sum(pgram / h_hat))
         f_hat = sigma2_hat * h_hat / (2.0 * math.pi)
-        return FitResult(
-            estimator="whittle",
-            family=self.family,
-            gamma_hat=gamma_hat,
-            sigma2_hat=sigma2_hat,
-            objective=float(np.sum(np.log(f_hat) + pgram / f_hat)),
-            iterations=nfev,
-            converged=success and ok,
-            boundary_pinned=_pinned(gamma_hat, self.bounds),
-        )
+        return sigma2_hat, float(np.sum(np.log(f_hat) + pgram / f_hat))
 
 
 _ROWS = {"qmle": _QmleRows, "whittle": _WhittleRows}
@@ -645,7 +628,9 @@ def fit_batch(
 
     A QMLE step evaluates the pending d of every unfinished series with one
     2-D AR-weight build, one rfft and one irfft; Whittle rows are evaluated
-    one by one in the same loop."""
+    one by one in the same loop.  Every FitResult is built here: an
+    estimator's rows give only its contrasts and, at gamma_hat, its
+    sigma2_hat and objective."""
     family = Family(family)
     if estimator not in _ROWS:
         raise ValueError(f"unknown estimator {estimator!r}")
@@ -660,18 +645,30 @@ def fit_batch(
         searches = _lockstep(rows.contrasts, len(series), opt_bounds[0])
     except Exception as exc:  # a check every row shares failed
         return [exc] * len(series)
+
+    def result(i: int, found: tuple, nfev: int, success: bool) -> FitResult:
+        value, gamma_hat, ok = found
+        sigma2_hat, objective = rows.finish(i, value, gamma_hat)
+        return FitResult(
+            estimator=estimator,
+            family=family,
+            gamma_hat=gamma_hat,
+            sigma2_hat=sigma2_hat,
+            objective=objective,
+            iterations=nfev,
+            converged=success and ok,
+            boundary_pinned=_pinned(gamma_hat, opt_bounds),
+        )
+
     return [
-        out if isinstance(out, Exception) else rows.result(i, *out)
-        for i, out in enumerate(searches)
+        out if isinstance(out, Exception) else result(i, *out) for i, out in enumerate(searches)
     ]
 
 
-def _fit_one(estimator, series, family, bounds, with_stderr) -> FitResult:
+def _fit_one(estimator, series, family, bounds) -> FitResult:
     (result,) = fit_batch([series], family, estimator, bounds)
     if isinstance(result, Exception):
         raise result
-    if with_stderr:
-        result.stderr = standard_errors(family, result.gamma_hat, result.sigma2_hat, series.n)
     return result
 
 
@@ -679,30 +676,27 @@ def fit_qmle(
     series: Series,
     family: Family,
     bounds: tuple[tuple[float, float], ...] | None = None,
-    with_stderr: bool = False,
 ) -> FitResult:
     """Quasi-maximum likelihood fit of (gamma, sigma2).
 
     gamma_hat minimizes qmle_objective over the (slightly shrunk) bounds and
-    sigma2_hat = S_n(gamma_hat)/n.  Standard errors, when requested, come from
-    the asymptotic covariance: sqrt(diag(M^-1)/n) for gamma and
-    sqrt(2 sigma2_hat^2 / n) for sigma2, the Gaussian mu4 = 3; call
-    standard_errors for any other mu4.  The one-series case of fit_batch.
+    sigma2_hat = S_n(gamma_hat)/n.  The fit carries no standard errors:
+    standard_errors(family, gamma_hat, sigma2_hat, n, mu4) gives them.  The
+    one-series case of fit_batch.
     """
-    return _fit_one("qmle", series, family, bounds, with_stderr)
+    return _fit_one("qmle", series, family, bounds)
 
 
 def fit_whittle(
     series: Series,
     family: Family,
     bounds: tuple[tuple[float, float], ...] | None = None,
-    with_stderr: bool = False,
 ) -> FitResult:
     """Whittle fit: gamma_hat minimizes the profiled periodogram contrast
     m log(sigma2_hat(gamma)) + sum_j log h_gamma(lambda_j), where
     sigma2_hat(gamma) = (2 pi / m) sum_j I(lambda_j) / h_gamma(lambda_j).
     The one-series case of fit_batch."""
-    return _fit_one("whittle", series, family, bounds, with_stderr)
+    return _fit_one("whittle", series, family, bounds)
 
 
 # estimator name -> fit function; campaigns and the CLI read names from here

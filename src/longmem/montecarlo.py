@@ -51,6 +51,13 @@ def _coerce(obj, name: str, convert) -> None:
         raise ValueError(f"{name}: {exc}") from exc
 
 
+def _integer(value) -> int:
+    # operator.index(True) is 1, so a JSON true would pass for a count
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
 def _names(value) -> tuple[str, ...]:
     # tuple("qmle") would be four one-letter names
     if isinstance(value, str):
@@ -105,15 +112,23 @@ class MCConfig:
         _coerce(
             self, "cells", lambda cs: tuple(c if isinstance(c, MCCell) else MCCell(**c) for c in cs)
         )
-        _coerce(self, "n_grid", lambda ns: tuple(operator.index(n) for n in ns))
+        _coerce(self, "n_grid", lambda ns: tuple(_integer(n) for n in ns))
         _coerce(self, "estimators", _names)
         for name in ("replications", "base_seed"):
-            _coerce(self, name, operator.index)
+            _coerce(self, name, _integer)
         for name in ("cells", "n_grid", "estimators"):
             if not getattr(self, name):
                 raise ValueError(f"{name}: must not be empty")
+        # a repeated n or estimator would be run twice, and its tables would
+        # keep one run or the other
+        for name in ("n_grid", "estimators"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name}: entries must be distinct, got {list(values)}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed: must be >= 0, got {self.base_seed}")
         if any(n < 2 for n in self.n_grid):
             raise ValueError(f"every n in n_grid must be >= 2, got {self.n_grid}")
         if self.generator not in GENERATORS:

@@ -3,7 +3,8 @@ an approximate truncated moving-average generator, both deterministically seeded
 
 The RNG is numpy's Philox counter-based generator.  A campaign derives one
 independent stream per replication through ``np.random.SeedSequence(base,
-spawn_key=...)``, so serial and parallel runs draw identical numbers.
+spawn_key=...)``, so any replication can be drawn alone and gives the same
+numbers as in its campaign.
 
 Replications reuse two caches of 64 entries each: the circulant embedding
 per (spec, n) and the truncated-ma weights per (spec, K).  Every transform

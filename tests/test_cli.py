@@ -12,7 +12,7 @@ import pytest
 
 import longmem
 from longmem.cli import _residual_mu4, build_parser, detrend_linear, main
-from longmem.estimate import ESTIMATORS, blue_mean, fit_qmle, predictors
+from longmem.estimate import ESTIMATORS, blue_mean, fit_qmle, predictors, standard_errors
 from longmem.models import ModelSpec
 from longmem.simulate import (
     EmbeddingError,
@@ -106,6 +106,23 @@ def test_cli_fit_equals_library_fit(tmp_path):
     cli_fields = json.loads(out.read_text())
     lib_fields = fit_qmle(series_from_csv(data), "lm").as_dict()
     assert cli_fields == lib_fields
+
+
+@pytest.mark.parametrize("estimator", ["qmle", "whittle"])
+@pytest.mark.parametrize("family,gamma", [("lm", (0.25,)), ("farima10", (0.25, 0.4))])
+def test_cli_fit_stderr_is_standard_errors(tmp_path, family, gamma, estimator):
+    # --stderr prints standard_errors at the library fit, with the Gaussian
+    # mu4 = 3, exactly after the JSON round trip
+    data, out = tmp_path / "sim.csv", tmp_path / "fit.json"
+    spec = ModelSpec(family=family, gamma=gamma, sigma2=2.0)
+    series_to_csv(simulate(spec, 800, GenConfig(seed=9)), data)
+    argv = ["fit", str(data), "--family", family, "--estimator", estimator, "--stderr"]
+    assert run_cli(*argv, "--out", str(out)) == 0
+    fields = json.loads(out.read_text())
+    fit = ESTIMATORS[estimator](series_from_csv(data), family)
+    expected = standard_errors(family, fit.gamma_hat, fit.sigma2_hat, 800)
+    assert expected is not None
+    assert fields == fit.as_dict() | {"stderr": list(expected)}
 
 
 def test_cli_fit_reads_a_byte_order_mark(tmp_path, capsys):
@@ -221,6 +238,12 @@ _GOOD_MC = {
         (_GOOD_MC | {"estimators": []}, "estimators: "),
         (_GOOD_MC | {"estimators": "qmle"}, "estimators: "),
         (_GOOD_MC | {"replications": 2.5}, "replications: "),
+        (_GOOD_MC | {"replications": True}, "replications: "),
+        (_GOOD_MC | {"n_grid": [200, True]}, "n_grid: "),
+        (_GOOD_MC | {"base_seed": False}, "base_seed: "),
+        (_GOOD_MC | {"base_seed": -1}, "base_seed: "),
+        (_GOOD_MC | {"n_grid": [100, 100]}, "n_grid: "),
+        (_GOOD_MC | {"estimators": ["qmle", "whittle", "qmle"]}, "estimators: "),
     ],
     ids=[
         "cells-not-a-list",
@@ -236,6 +259,12 @@ _GOOD_MC = {
         "no-estimators",
         "estimators-a-string",
         "replications-not-an-integer",
+        "replications-true",
+        "n_grid-entry-true",
+        "base_seed-false",
+        "negative-base_seed",
+        "duplicate-n_grid",
+        "duplicate-estimators",
     ],
 )
 def test_cli_mc_malformed_config_exits_with_message(tmp_path, capsys, raw, names):
@@ -326,6 +355,24 @@ def test_cli_analyze_detrended_workflow(trended_series_csv, tmp_path):
     assert np.isfinite(payload["mu_blue"])
     for fit in payload["fits"]:
         assert fit["stderr"] is not None
+
+
+def test_cli_analyze_stderr_uses_the_residual_mu4(trended_series_csv, tmp_path):
+    # each fit's stderr is standard_errors at that fit of the detrended
+    # series, with the fourth moment of its own standardized residuals,
+    # exactly after the JSON round trip
+    out = tmp_path / "a.json"
+    argv = ["analyze", str(trended_series_csv), "--detrend"]
+    assert run_cli(*argv, "--estimator", "qmle", "--estimator", "whittle", "--out", str(out)) == 0
+    work, _, _ = detrend_linear(series_from_csv(trended_series_csv))
+    payload = json.loads(out.read_text())
+    assert len(payload["fits"]) == 4
+    for fields in payload["fits"]:
+        fit = ESTIMATORS[fields["estimator"]](work, fields["family"])
+        mu4 = _residual_mu4(work, fit)
+        expected = standard_errors(fit.family, fit.gamma_hat, fit.sigma2_hat, work.n, mu4)
+        assert expected is not None
+        assert fields == fit.as_dict() | {"stderr": list(expected)}
 
 
 def test_cli_analyze_offset_invariance_with_detrend(trended_series_csv, tmp_path):

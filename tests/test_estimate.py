@@ -371,8 +371,8 @@ def test_fit_qmle_farima10_all_zero_series():
 
 def test_fit_qmle_stderr():
     series = sim("farima00", (0.2,), 4.0, 2000, seed=59)
-    fit = fit_qmle(series, "farima00", with_stderr=True)
-    se_d, se_s2 = fit.stderr
+    fit = fit_qmle(series, "farima00")
+    se_d, se_s2 = standard_errors("farima00", fit.gamma_hat, fit.sigma2_hat, series.n)
     # theory: sqrt(6/pi^2 / n) and sqrt(2 sigma^4 / n)
     assert se_d == pytest.approx(math.sqrt(6.0 / math.pi**2 / 2000), rel=0.05)
     assert se_s2 == pytest.approx(math.sqrt(2.0 * fit.sigma2_hat**2 / 2000), rel=1e-9)

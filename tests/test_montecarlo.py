@@ -336,6 +336,18 @@ def test_config_validation():
         small_config(n_grid=(200, 1))  # simulate needs n >= 2
     with pytest.raises(ValueError):
         small_config(generator="bogus")
+    # a repeated n or estimator would be fitted twice with different seeds
+    # and the report would keep one run; True would pass for the integer 1
+    for overrides, message in [
+        ({"n_grid": (100, 100)}, "n_grid: entries must be distinct"),
+        ({"estimators": ("qmle", "qmle")}, "estimators: entries must be distinct"),
+        ({"base_seed": -1}, "base_seed: must be >= 0"),
+        ({"replications": True}, "replications: expected an integer, got True"),
+        ({"n_grid": (True, 200)}, "n_grid: expected an integer, got True"),
+        ({"base_seed": False}, "base_seed: expected an integer, got False"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            small_config(**overrides)
 
 
 def test_d_insensitivity_away_from_half():
