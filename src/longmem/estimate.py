@@ -17,7 +17,8 @@
   log(2 sin(lambda/2)) and e^(i lambda) for FARIMA, the table of
   (-i lambda)^k / k! for LM, kept as its real even-k and imaginary odd-k
   halves, so an LM evaluation is two real matrix-vector products with
-  zeta(1 + d - k) and no complex BLAS call.
+  zeta(1 + d - k), read from specfun's zeta table, and no complex BLAS call.
+  Every transform goes through numpy.fft.
 * BLUE location estimator: its weights solve the Toeplitz system
   Gamma w = 1 by conjugate gradient with T. Chan's circulant
   preconditioner, each step two FFT products, O(n log n) in all, started
@@ -47,9 +48,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.special import digamma, zeta
-from scipy.special import gamma as gamma_fn
+from numpy.fft import irfft, rfft
 
 from .models import (
     Family,
@@ -59,9 +58,10 @@ from .models import (
     autocovariance,
     dar_coeffs_gamma,
     default_gamma_bounds,
+    fast_length,
 )
 from .simulate import Series
-from .specfun import beta_fn, gauss_rule, riemann_zeta
+from .specfun import ZETA_SERIES_TERMS, beta_fn, digamma, gauss_rule, riemann_zeta, zeta_series
 
 logger = logging.getLogger(__name__)
 
@@ -96,7 +96,7 @@ _XATOL_1D = 1e-6
 _PINNED_TOL = 2e-6
 # terms of the LM polylogarithm series, an even number; each is at most half
 # the previous one
-_LM_SERIES_TERMS = 50
+_LM_SERIES_TERMS = ZETA_SERIES_TERMS
 # Gauss-Laguerre nodes of the LM information integral; 80 give 3e-13 relative
 _INFO_NODES = 80
 # BLUE conjugate gradient: stop at this residual relative to that of w = 0;
@@ -158,7 +158,7 @@ def _transform_length(n: int) -> int:
     """N >= 2n - 1, so that the circular product of length N is the linear
     one.  It is the length fftconvolve(X, [0, u]) would choose, so the
     predictors are the values it gives."""
-    return next_fast_len(2 * n - 1, real=True)
+    return fast_length(2 * n - 1)
 
 
 def _predict(X: np.ndarray, u: np.ndarray, N: int) -> np.ndarray:
@@ -166,11 +166,12 @@ def _predict(X: np.ndarray, u: np.ndarray, N: int) -> np.ndarray:
     weights u_1..u_(n-1): one rfft of the weights and one irfft.  X and u
     are one series or rows of them; each row's values equal its one-row
     transform bit for bit.  np.multiply, not *, so that numpy never writes
-    the product into a temporary operand, whose rounding can differ."""
+    the product into a temporary operand, whose rounding can differ.  The
+    weights are zero-padded to N here: numpy.fft pads rows more slowly."""
     n = u.shape[-1] + 1
-    padded = np.zeros(u.shape[:-1] + (n,))
-    padded[..., 1:] = u
-    return irfft(np.multiply(X, rfft(padded, N, axis=-1)), N, axis=-1)[..., :n]
+    padded = np.zeros(u.shape[:-1] + (N,))
+    padded[..., 1:n] = u
+    return irfft(np.multiply(X, rfft(padded, axis=-1)), N, axis=-1)[..., :n]
 
 
 def _prediction_filter(values: np.ndarray):
@@ -291,7 +292,7 @@ def _lm_series(powers: tuple[np.ndarray, np.ndarray], z: np.ndarray) -> np.ndarr
 def _lm_head(d: float, log_lam: np.ndarray) -> np.ndarray:
     """Gamma(-d) (i lam)^d = Gamma(-d) e^(i pi d / 2) lam^d, the singular term
     of the LM polylogarithm series."""
-    return gamma_fn(-d) * cmath.exp(0.5j * math.pi * d) * np.exp(d * log_lam)
+    return math.gamma(-d) * cmath.exp(0.5j * math.pi * d) * np.exp(d * log_lam)
 
 
 def _lm_transfer(
@@ -305,7 +306,7 @@ def _lm_transfer(
     1e-15 relative for d in [0.011, 0.489]."""
     if not 0.0 < d < 1.0:
         raise ValueError(f"LM transfer function requires d in (0, 1), got {d}")
-    z = zeta(1.0 + d - np.arange(_LM_SERIES_TERMS))
+    z = zeta_series(d)
     return -(_lm_head(d, log_lam) + _lm_series(powers, z)) / z[0]
 
 
@@ -719,12 +720,12 @@ def _lm_score(
     L' = Gamma(1-s) (i lam)^(s-1) (log(i lam) - psi(1-s))
          + sum_(k>=1) zeta'(s-k) (-i lam)^k / k!.
     """
+    # zeta at the d that the rounded s = 1 + d stands for, where zeta' is taken
     s = 1.0 + d
-    k = np.arange(_LM_SERIES_TERMS)
-    z, dz = zeta(s - k), riemann_zeta(s - k, order=1)
+    z, dz = zeta_series(s - 1.0), riemann_zeta(s - np.arange(_LM_SERIES_TERMS), order=1)
     head = _lm_head(d, log_lam)
     li = head + _lm_series(powers, z)
-    dli = head * (log_lam + 0.5j * math.pi - digamma(1.0 - s)) + _lm_series(powers, dz)
+    dli = head * (log_lam + 0.5j * math.pi - digamma(-d)) + _lm_series(powers, dz)
     return 2.0 * (dli / li).real - 2.0 * dz[0] / z[0]
 
 

@@ -14,14 +14,15 @@ weights u_1, u_2, ... satisfy sum(u_k) = 1 and never depend on sigma2.
 All coefficient engines run in O(K) by multiplicative recursion, except two
 O(K log K) power-series products by real FFT: the LM moving-average weights
 come from Newton series inversion, the FARIMA10 ones are psi times the
-geometric series alpha^k.  Every table is returned read-only.  The module
-holds no state and every call computes afresh; the library's caches live in
-simulate and estimate, whose campaigns reuse them.
+geometric series alpha^k.  Every table is returned read-only.  Every call
+computes its coefficients afresh: the module caches only FFT lengths, and
+the library's other caches live in specfun (the zeta table), simulate and
+estimate, whose campaigns reuse them.
 
 Autocovariances have one exact route per family: the FARIMA00 closed form,
 that form filtered by the FARIMA10 AR(1) factor, and for LM the FFT
 autocorrelation of the MA weights plus the tail of their known expansion.
-Every transform goes through scipy.fft.
+Every transform goes through numpy.fft, at 5-smooth lengths from fast_length.
 """
 
 from __future__ import annotations
@@ -29,12 +30,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.special import rgamma, zeta
+from numpy.fft import irfft, rfft
 
-from .specfun import gauss_rule, log_gamma, riemann_zeta
+from .specfun import gauss_rule, rgamma, riemann_zeta, zeta_series
 
 __all__ = [
     "Family",
@@ -48,6 +49,7 @@ __all__ = [
     "invert_series",
     "autocovariance",
     "default_gamma_bounds",
+    "fast_length",
     "GAMMA_NAMES",
 ]
 
@@ -155,7 +157,7 @@ def _one_parameter_ar(family: Family, d, K: int) -> np.ndarray:
     one row of weights each."""
     if family is Family.LM:
         k = np.arange(1.0, K + 1)
-        return k ** (-1.0 - d) / zeta(1.0 + d)
+        return k ** (-1.0 - d) / zeta_series(d, 0)
     return -_frac_diff_coeffs(d, K)[..., 1:]
 
 
@@ -205,7 +207,7 @@ def ar_coeffs_batch(family: Family, ds, K: int) -> np.ndarray:
         raise ValueError("ar_coeffs_batch takes a one-parameter family, not farima10")
     ds = np.asarray(ds, dtype=float)
     # the domain of d is an interval, so its extremes decide (NaN fails both)
-    for d in (ds.min(), ds.max()):
+    for d in {ds.min(), ds.max()}:
         _checked(family, (d,), K)
     return _readonly(_one_parameter_ar(family, ds[:, np.newaxis], K))
 
@@ -250,7 +252,7 @@ def dar_coeffs_gamma(family: Family, gamma, K: int) -> np.ndarray:
     family, gamma, K = _checked(family, gamma, K)
     d = gamma[0]
     if family is Family.LM:
-        z = zeta(1.0 + d)
+        z = zeta_series(d, 0)
         zp = riemann_zeta(1.0 + d, order=1)
         n = np.arange(1.0, K + 1)
         du = -(n ** (-1.0 - d)) / z**2 * (z * np.log(n) + zp)
@@ -275,10 +277,26 @@ def dar_coeffs(spec: ModelSpec, K: int) -> np.ndarray:
     return dar_coeffs_gamma(spec.family, spec.gamma, K)
 
 
+@lru_cache(maxsize=256)
+def fast_length(n: int) -> int:
+    """The least 5-smooth integer 2^a 3^b 5^c >= n (n >= 1): the FFT
+    length scipy.fft.next_fast_len(n, real=True) gives."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power of two that takes p35 to n or beyond
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _series_product(a: np.ndarray, b: np.ndarray, size: int) -> np.ndarray:
     """First size coefficients of the power-series product a(z) b(z), by one
     real-FFT product at a length where the circular product is the linear one."""
-    N = next_fast_len(a.size + b.size - 1, real=True)
+    N = fast_length(a.size + b.size - 1)
     return irfft(rfft(a, N) * rfft(b, N), N)[:size]
 
 
@@ -356,7 +374,8 @@ def _weight_expansion(family: Family, d: float) -> tuple[np.ndarray, np.ndarray]
     # LM, with w = -log z: T(z) = a w^d + b w + O(w^2), so 1/T has the singular
     # terms (-b)^(j-1) a^(-j) w^(j(1-d)-1), whose coefficients are exactly
     # C_j i^(j(d-1)) (Flajolet & Odlyzko 1990); no i^(d-2) term arises
-    a, b = math.exp(log_gamma(1.0 - d)) / (d * zeta(1.0 + d)), zeta(d) / zeta(1.0 + d)
+    z = zeta_series(d, 0)
+    a, b = math.exp(math.lgamma(1.0 - d)) / (d * z), zeta_series(d, 1) / z
     j = np.arange(1.0, 4.0)
     return (-b) ** (j - 1.0) / a**j * rgamma(j * (d - 1.0) + 1.0), j * (d - 1.0)
 
@@ -369,7 +388,7 @@ def _autocov_by_convolution(
     hold the FARIMA00 closed form to."""
     Ka = max(K or 0, maxlag + 10_000)
     # autocorrelation by |rfft|^2; N > Ka + maxlag keeps lags 0..maxlag unaliased
-    N = next_fast_len(Ka + 1 + maxlag, real=True)
+    N = fast_length(Ka + 1 + maxlag)
     A = rfft(_ma_coeffs_gamma(family, gamma, Ka), N)
     r = irfft(A.real**2 + A.imag**2, N)[: maxlag + 1]
     return r + _tail_corrections(*_weight_expansion(family, gamma[0]), Ka, maxlag)
@@ -377,7 +396,7 @@ def _autocov_by_convolution(
 
 def _farima00_autocov(d: float, maxlag: int) -> np.ndarray:
     """Closed form r(0) = Gamma(1-2d) / Gamma(1-d)^2, r(k) = r(k-1) (k-1+d)/(k-d)."""
-    r0 = math.exp(log_gamma(1.0 - 2.0 * d) - 2.0 * log_gamma(1.0 - d))
+    r0 = math.exp(math.lgamma(1.0 - 2.0 * d) - 2.0 * math.lgamma(1.0 - d))
     k = np.arange(1.0, maxlag + 1)
     return r0 * np.r_[1.0, np.cumprod((k - 1.0 + d) / (k - d))]
 

@@ -8,22 +8,23 @@ numbers as in its campaign.
 
 Replications reuse two caches of 64 entries each: the circulant embedding
 per (spec, n) and the truncated-ma weights per (spec, K).  Every transform
-goes through scipy.fft.
+goes through numpy.fft.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.fft import hfft, irfft, next_fast_len, rfft
+from numpy.fft import hfft, irfft, rfft
 
-from .models import ModelSpec, autocovariance, ma_coeffs
+from .models import ModelSpec, autocovariance, fast_length, ma_coeffs
 
 __all__ = [
     "Series",
@@ -96,6 +97,16 @@ class GenConfig:
     def __post_init__(self):
         if self.generator not in GENERATORS:
             raise ValueError(f"unknown generator {self.generator!r}, expected one of {GENERATORS}")
+        if isinstance(self.seed, np.random.SeedSequence):
+            return
+        # operator.index(True) is 1, so a bool would pass for seed 1
+        try:
+            if isinstance(self.seed, (bool, np.bool_)) or operator.index(self.seed) < 0:
+                raise ValueError
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"seed: expected a non-negative integer or a SeedSequence, got {self.seed!r}"
+            ) from None
 
 
 def rng_from_seed(seed) -> np.random.Generator:
@@ -168,7 +179,7 @@ def _sample_truncated_ma(spec: ModelSpec, n: int, cfg: GenConfig, rng: np.random
     eps = rng.standard_normal(n + K)
     # x[t] = sum_i a_i eps_{t-i}: the window [K, K + n) of the product holds
     # the outputs with all K + 1 terms
-    N = next_fast_len(eps.size + a.size - 1, real=True)
+    N = fast_length(eps.size + a.size - 1)
     x = irfft(rfft(eps, N) * rfft(a, N), N)[K : K + n]
     return spec.sigma * x + spec.mu
 

@@ -468,23 +468,10 @@ def _subprocess_env() -> dict:
     return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
 
 
-def _modules_loaded_by_cli_import(prefixes: tuple[str, ...]) -> str:
-    """The modules starting with one of prefixes that a fresh
-    `import longmem.cli` loads, as the repr of a sorted list."""
-    code = (
-        "import sys, longmem.cli; "
-        f"print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=_subprocess_env(), capture_output=True, text=True, check=True
-    )
-    return out.stdout.strip()
-
-
 def test_lm_work_loads_no_further_module():
-    # scipy.special's Gauss rules (roots_*) would load all of scipy.linalg
-    # at the first LM autocovariance or LM standard error.  numpy.polynomial
-    # is not checked by name: scipy.fft's own import already loads it
+    # the first LM autocovariance and LM standard error build their Gauss
+    # rules and the zeta table with numpy alone; scipy.special's roots_*
+    # would load scipy.linalg, and numpy.polynomial is never needed
     code = (
         "import sys, longmem.cli; "
         "from longmem.estimate import standard_errors; "
@@ -492,30 +479,50 @@ def test_lm_work_loads_no_further_module():
         "before = set(sys.modules); "
         "autocovariance(ModelSpec('lm', (0.3,)), 2048); "
         "assert standard_errors('lm', (0.3,), 1.0, 1000) is not None; "
-        "print(sorted(set(sys.modules) - before), "
-        "sorted(m for m in sys.modules if m.startswith('scipy.linalg')))"
+        "print(sorted(set(sys.modules) - before))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=_subprocess_env(), capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[] []"
+    assert out.stdout.strip() == "[]"
 
 
-def test_cli_import_loads_neither_scipy_signal_nor_scipy_stats():
-    # scipy.signal pulls in scipy.stats, which every fresh process would pay
-    # for at start-up
-    assert _modules_loaded_by_cli_import(("scipy.signal", "scipy.stats")) == "[]"
+_NO_SCIPY_RUN = """
+import contextlib, io, json, sys
+from longmem.cli import main
+from longmem.models import ModelSpec
+from longmem.simulate import GenConfig, series_to_csv, simulate
+
+tmp = sys.argv[1]
+for family, gamma in (("farima00", (0.2,)), ("farima10", (0.2, 0.5)), ("lm", (0.3,))):
+    data, config = f"{tmp}/{family}.csv", f"{tmp}/{family}.json"
+    series_to_csv(simulate(ModelSpec(family=family, gamma=gamma), 300, GenConfig(seed=1)), data)
+    cell = {"gamma": list(gamma), "sigma2": 1.0}
+    with open(config, "w") as fh:
+        json.dump({"family": family, "cells": [cell], "n_grid": [100], "replications": 2,
+                   "estimators": ["qmle", "whittle"]}, fh)
+    alpha = ["--alpha", str(gamma[1])] if family == "farima10" else []
+    for argv in (
+        ["fit", data, "--family", family, "--stderr"],
+        ["fit", data, "--family", family, "--estimator", "whittle", "--stderr"],
+        ["analyze", data, "--family", family, "--estimator", "qmle", "--estimator", "whittle"],
+        ["blue", data, "--family", family, "--d", str(gamma[0])] + alpha,
+        ["mc", "--config", config, "--table", "csv"],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
 
 
-def test_cli_import_loads_no_scipy_optimize():
-    # the fits run their own port of the bounded scalar search; importing
-    # scipy.optimize would cost start-up time and load scipy.sparse
-    assert _modules_loaded_by_cli_import(("scipy.optimize", "scipy.sparse")) == "[]"
-
-
-def test_cli_import_loads_no_scipy_linalg():
-    # the BLUE weights come from an in-package conjugate-gradient solve
-    assert _modules_loaded_by_cli_import(("scipy.linalg",)) == "[]"
+def test_cli_work_loads_no_scipy(tmp_path):
+    # scipy is a test oracle only: a fresh process that imports longmem.cli
+    # and runs fit, analyze, blue and mc on every family loads no scipy module
+    out = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_RUN, str(tmp_path)],
+        env=_subprocess_env(), capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("command", ["simulate", "fit", "blue", "analyze", "mc"])
@@ -595,6 +602,14 @@ def test_cli_prints_library_warnings_as_warning_lines(tmp_path, capsys, argv, me
     lines = captured.err.splitlines()
     expected = {f"warning: n=10 is small; {m} asymptotics are unreliable" for m in messages}
     assert set(lines) == expected, captured.err
+
+
+@pytest.mark.parametrize("seed", ["-1", "-20"])
+def test_cli_simulate_rejects_a_negative_seed(capsys, seed):
+    assert run_cli("simulate", "--n", "10", "--seed", seed) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed: expected a non-negative integer")
+    assert seed in err and "Traceback" not in err
 
 
 def test_cli_simulate_stdout(capsys):

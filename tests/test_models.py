@@ -402,6 +402,29 @@ def test_u_tail_exponent(family, gamma):
     assert slope == pytest.approx(-(1.0 + gamma[0]), abs=0.02)
 
 
+@pytest.mark.parametrize(
+    "family,gamma",
+    [
+        ("farima00", (0.2,)),
+        ("farima00", (0.45,)),
+        ("farima10", (0.2, 0.5)),
+        ("farima10", (0.3, -0.6)),
+        ("lm", (0.1,)),
+        ("lm", (0.3,)),
+    ],
+)
+def test_ar_and_ma_constants_multiply_to_d_sin_pi_d_over_pi(family, gamma):
+    # the paper's first result: u_k ~ c_u k^(-1-d) and a_k ~ c_a k^(d-1)
+    # with c_u c_a = d sin(pi d) / pi, read here at k = 200,000; LM at
+    # d = 0.3 is the slowest, at 3.3e-5
+    k = 200_000
+    d = gamma[0]
+    spec = spec_of(family, *gamma)
+    c_u = ar_coeffs(spec, k)[k - 1] * k ** (1.0 + d)
+    c_a = ma_coeffs(spec, k)[k] * k ** (1.0 - d)
+    assert c_u * c_a == pytest.approx(d * math.sin(math.pi * d) / math.pi, rel=1e-4)
+
+
 # ---------------------------------------------------------------------------
 # Autocovariance
 # ---------------------------------------------------------------------------
@@ -512,6 +535,33 @@ def test_lm_ma_weights_match_singular_expansion(d):
     psi = ma_coeffs(spec_of("lm", d), 2**17)[i]
     C, beta = _weight_expansion(Family.LM, d)
     assert np.sum(C * float(i) ** beta) == pytest.approx(psi, rel=1e-9)
+
+
+def test_lm_autocovariance_where_rgamma_has_a_pole():
+    # at d = 1/3 the third term of the weights' expansion holds
+    # 1/Gamma(3 (d - 1) + 1) = 1/Gamma(-1) = 0, at d = 1/2 the second one
+    from scipy.special import gamma, rgamma, zeta
+
+    d, maxlag = 1.0 / 3.0, 2048
+    r = autocovariance(spec_of("lm", d), maxlag)
+    assert np.all(np.isfinite(r))
+    # the same expansion from scipy's special functions
+    a, b = gamma(1.0 - d) / (d * zeta(1.0 + d)), zeta(d) / zeta(1.0 + d)
+    j = np.arange(1.0, 4.0)
+    C_ref = (-b) ** (j - 1.0) / a**j * rgamma(j * (d - 1.0) + 1.0)
+    C, beta = _weight_expansion(Family.LM, d)
+    assert C[2] == 0.0 and np.all(np.abs(C - C_ref) <= 1e-13 * np.abs(C_ref))
+    tail = _tail_corrections(C, beta, maxlag + 10_000, maxlag)
+    ref = r - tail + _tail_corrections(C_ref, beta, maxlag + 10_000, maxlag)
+    assert np.all(np.abs(r - ref) <= 1e-13 * r[0])
+    assert _weight_expansion(Family.LM, 0.5)[0][1] == 0.0
+
+
+def test_fast_length_is_scipy_next_fast_len():
+    from scipy.fft import next_fast_len
+
+    n = range(1, 60_000)
+    assert [models.fast_length.__wrapped__(m) for m in n] == [next_fast_len(m, real=True) for m in n]
 
 
 def test_coefficient_tables_are_readonly():

@@ -47,6 +47,23 @@ def test_genconfig_validation():
         GenConfig(generator="bogus")
 
 
+@pytest.mark.parametrize("seed", [-1, True, False, np.bool_(True), 1.5, "3", None])
+def test_genconfig_rejects_a_bad_seed(seed):
+    # True would pass operator.index as seed 1, and numpy's own message for
+    # a negative seed names neither the field nor the value
+    with pytest.raises(ValueError, match="seed: expected a non-negative integer"):
+        GenConfig(seed=seed)
+
+
+def test_genconfig_accepts_integer_seeds_and_seed_sequences():
+    spec = ModelSpec(family="farima00", gamma=(0.2,))
+    for seed in (0, 7, np.int64(7), np.uint8(7), np.random.SeedSequence(7)):
+        assert simulate(spec, 20, GenConfig(seed=seed)).n == 20
+    assert np.array_equal(
+        simulate(spec, 20, GenConfig(seed=np.int64(7))).values, simulate(spec, 20, GenConfig(seed=7)).values
+    )
+
+
 def test_simulate_deterministic():
     spec = ModelSpec(family="farima00", gamma=(0.2,), sigma2=4.0)
     cfg = GenConfig(generator="exact-gaussian", seed=99)

@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from longmem.specfun import beta_fn, gauss_rule, log_gamma, riemann_zeta
+from longmem.specfun import (
+    ZETA_SERIES_TERMS,
+    beta_fn,
+    digamma,
+    gauss_rule,
+    log_gamma,
+    rgamma,
+    riemann_zeta,
+    zeta_series,
+)
 
 
 def test_log_gamma_known_values():
@@ -130,6 +139,76 @@ def test_zeta_domain_errors():
         riemann_zeta(float("nan"))
     with pytest.raises(ValueError):
         riemann_zeta(1.5, order=2)
+
+
+def test_zeta_table_against_mpmath():
+    # every row k < 50 of the table, whole or one row at a time, on a grid
+    # that reaches both ends of [0, 1] and the default bounds of d
+    mp = pytest.importorskip("mpmath")
+    grid = np.r_[0.001, 0.011, np.linspace(0.02, 0.98, 25), 0.489, 0.999]
+    with mp.workdps(30):
+        for d in grid:
+            ref = np.array([float(mp.zeta(1 + mp.mpf(d) - k)) for k in range(ZETA_SERIES_TERMS)])
+            rows = zeta_series(d)
+            assert np.all(np.abs(rows - ref) <= 1e-13 * np.abs(ref)), d
+            one = [zeta_series(d, k) for k in range(ZETA_SERIES_TERMS)]
+            assert np.all(np.abs(np.array(one) - ref) <= 1e-13 * np.abs(ref)), d
+
+
+def test_zeta_table_rows_take_arrays_of_d():
+    d = np.array([[0.011], [0.3], [0.489]])
+    for k in (0, 1, 2, 3, 48):
+        row = zeta_series(d, k)
+        assert row.shape == d.shape
+        np.testing.assert_array_equal(row.ravel(), [zeta_series(float(v), k) for v in d.ravel()])
+
+
+def test_zeta_below_the_table_against_mpmath():
+    # s < -48 and s >= 2 are summed, not read from the table
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        for s in (-48.5, -49.0 + 1e-3, 2.0, 2.5, 7.0, 50.0):
+            ref = float(mp.zeta(s))
+            assert riemann_zeta(s) == pytest.approx(ref, rel=1e-13), s
+
+
+def _library_digamma_arguments() -> np.ndarray:
+    # psi(-d) in the LM score, and psi(1 - t) in zeta' below s = -1/2, at
+    # t = 1 + d - k for the polylogarithm series
+    d = np.linspace(0.001, 0.999, 61)
+    t = (1.0 + d[:, np.newaxis] - np.arange(ZETA_SERIES_TERMS)).ravel()
+    return np.r_[-d, 1.0 - t[t < -0.5]]
+
+
+def test_digamma_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    x = _library_digamma_arguments()
+    ours = digamma(x)
+    with mp.workdps(30):
+        ref = np.array([float(mp.digamma(v)) for v in x])
+    assert np.all(np.abs(ours - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+    assert digamma(float(x[0])) == ours[0]
+
+
+def test_digamma_domain_errors():
+    for x in (0.0, -1.0, -1.5, [0.5, 0.0]):
+        with pytest.raises(ValueError):
+            digamma(x)
+
+
+def test_rgamma_and_log_gamma_match_scipy_poles_included():
+    from scipy.special import gammaln
+    from scipy.special import rgamma as scipy_rgamma
+
+    x = np.r_[np.arange(-6.0, 6.01, 0.25), -2.0 / 3.0, -1.0 + 1e-9, 1e-12, 40.5]
+    ours = rgamma(x)
+    ref = scipy_rgamma(x)
+    poles = (x <= 0.0) & (x == np.round(x))
+    assert poles.sum() == 7 and np.all(ours[poles] == 0.0)
+    assert np.all(np.abs(ours - ref) <= 1e-14 * np.abs(ref))
+    assert rgamma(-3.0) == 0.0 and rgamma(0.5) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-15)
+    positive = x[x > 0.0]
+    assert np.all(np.abs(log_gamma(positive) - gammaln(positive)) <= 1e-14 * np.maximum(1.0, np.abs(gammaln(positive))))
 
 
 def test_beta_known_values():
