@@ -487,6 +487,36 @@ def test_lm_work_loads_no_further_module():
     assert out.stdout.strip() == "[]"
 
 
+def _modules_loaded_by_cli_import(prefixes: tuple[str, ...]) -> str:
+    """The modules starting with one of prefixes that a fresh
+    `import longmem.cli` loads, as the repr of a sorted list."""
+    code = (
+        "import sys, longmem.cli; "
+        f"print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=_subprocess_env(), capture_output=True, text=True, check=True
+    )
+    return out.stdout.strip()
+
+
+def test_cli_import_loads_neither_scipy_signal_nor_scipy_stats():
+    # scipy.signal pulls in scipy.stats, which every fresh process would pay
+    # for at start-up
+    assert _modules_loaded_by_cli_import(("scipy.signal", "scipy.stats")) == "[]"
+
+
+def test_cli_import_loads_no_scipy_optimize():
+    # the fits run their own port of the bounded scalar search; importing
+    # scipy.optimize would cost start-up time and load scipy.sparse
+    assert _modules_loaded_by_cli_import(("scipy.optimize", "scipy.sparse")) == "[]"
+
+
+def test_cli_import_loads_no_scipy_linalg():
+    # the BLUE weights come from an in-package conjugate-gradient solve
+    assert _modules_loaded_by_cli_import(("scipy.linalg",)) == "[]"
+
+
 _NO_SCIPY_RUN = """
 import contextlib, io, json, sys
 from longmem.cli import main
