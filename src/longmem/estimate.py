@@ -32,10 +32,13 @@ Every fit is one bounded golden-section/parabolic search over d: a port of
 scipy.optimize's bounded minimize_scalar (Brent 1973) as a generator, which
 yields each d and is sent its contrast, so that fit_batch can run the
 searches of many series in lockstep; fit_qmle and fit_whittle are its
-one-series case.  For FARIMA10 the contrast at each d is minimized over
-alpha first: in closed form for the QMLE, whose S_n is quadratic in alpha,
-and for Whittle by alpha searches in lockstep, each evaluation O(1) given
-two frequency sums at d.  A fit's iterations count its search over d.
+one-series case.  Each evaluation gives a complete point (contrast, gamma,
+sigma2_hat, objective); a fit is the point at its minimizer.  For FARIMA10
+the contrast at each d is minimized over alpha first: in closed form for
+the QMLE, whose S_n is quadratic in alpha, and for Whittle by alpha
+searches in lockstep, each evaluation O(1) given two frequency sums at d.
+A fit's iterations count its search over d; it converged when that search
+succeeded at a finite contrast.
 """
 
 from __future__ import annotations
@@ -129,13 +132,15 @@ class FitResult:
     stderr: tuple[float, ...] | None = None
 
     def as_dict(self) -> dict:
+        """The fields as strict JSON values: a non-finite float becomes None."""
+        finite = lambda v: v if math.isfinite(v) else None
         return {
             "estimator": self.estimator,
             "family": Family(self.family).value,
-            "gamma_hat": list(self.gamma_hat),
-            "sigma2_hat": self.sigma2_hat,
-            "stderr": list(self.stderr) if self.stderr is not None else None,
-            "objective": self.objective,
+            "gamma_hat": [finite(v) for v in self.gamma_hat],
+            "sigma2_hat": finite(self.sigma2_hat),
+            "stderr": None if self.stderr is None else [finite(v) for v in self.stderr],
+            "objective": finite(self.objective),
             "iterations": self.iterations,
             "converged": self.converged,
             "boundary_pinned": self.boundary_pinned,
@@ -475,12 +480,12 @@ def _lockstep(contrasts, count: int, bounds) -> list:
     """One bounded search per row, all run in lockstep: each step sends the
     pending x of every unfinished row to one contrasts call.
 
-    contrasts returns, per row, (value, gamma, ok): gamma is the parameter
-    of the value, whose alpha minimizes a FARIMA10 contrast at that d, and ok
-    says whether that minimization succeeded.  Each row ends as (its tuple at
-    x_hat, the search's nfev, its success), or as the exception its
-    evaluation raised.  fit_batch's searches over d and the FARIMA10 Whittle
-    searches over alpha run here."""
+    contrasts returns, per row, a point (value, gamma, sigma2_hat, objective):
+    the contrast, its parameter, whose alpha minimizes a FARIMA10 contrast at
+    that d, and the fit's sigma2_hat and objective there.  Each row ends as
+    (its point at x_hat, the search's nfev, its success), or as the exception
+    its evaluation raised.  fit_batch's searches over d and the FARIMA10
+    Whittle searches over alpha run here."""
     searches = [_bounded_search(bounds) for _ in range(count)]
     pending = {i: next(search) for i, search in enumerate(searches)}
     seen: list[dict] = [{} for _ in range(count)]
@@ -511,7 +516,7 @@ def _check_length(n: int, minimum: int, name: str) -> None:
 
 
 class _QmleRows:
-    """QMLE contrasts S_n of equal-length series, for many d at a time.
+    """QMLE points of equal-length series, for many d at a time.
 
     Every series is transformed once.  A call builds the AR weights of
     every pending d as one 2-D array and makes one rfft and one irfft over
@@ -534,44 +539,47 @@ class _QmleRows:
         return [self._profile(w, d) for w, d in zip(resid, ds)]
 
     def _profile(self, w: np.ndarray, d: float) -> tuple:
-        if self.family is not Family.FARIMA10:
-            return float(np.dot(w, w)), (d,), True
-        # the residual of (1 - z)^d (1 - alpha z) is w_t - alpha w_(t-1), with
-        # w_0 = 0: S_n is quadratic in alpha
-        ss = float(np.dot(w[:-1], w[:-1]))
-        alpha = float(np.dot(w[1:], w[:-1])) / ss if ss > 0.0 else 0.0
-        alpha = min(max(alpha, self.bounds[1][0]), self.bounds[1][1])
-        resid = np.concatenate([w[:1], w[1:] - alpha * w[:-1]])
-        return float(np.dot(resid, resid)), (d, alpha), True
-
-    def finish(self, i: int, s_min: float, gamma_hat: tuple) -> tuple[float, float]:
-        """(sigma2_hat, objective) = (S_n / n, S_n) at gamma_hat."""
-        return s_min / self.values.shape[1], s_min
+        """The point (S_n, gamma, S_n / n, S_n) at d, alpha profiled for FARIMA10."""
+        gamma = (d,)
+        if self.family is Family.FARIMA10:
+            # the residual of (1 - z)^d (1 - alpha z) is w_t - alpha w_(t-1),
+            # with w_0 = 0: S_n is quadratic in alpha
+            ss = float(np.dot(w[:-1], w[:-1]))
+            alpha = float(np.dot(w[1:], w[:-1])) / ss if ss > 0.0 else 0.0
+            gamma = (d, min(max(alpha, self.bounds[1][0]), self.bounds[1][1]))
+            w = np.concatenate([w[:1], w[1:] - gamma[1] * w[:-1]])
+        s = float(np.dot(w, w))
+        return s, gamma, s / w.size, s
 
 
 class _WhittleRows:
-    """Whittle contrasts of equal-length series, one row at a time: the
+    """Whittle points of equal-length series, one row at a time: the
     profiled m log sigma2_hat(gamma) + sum_j log h_gamma(lambda_j), with
     sigma2_hat(gamma) = (2 pi / m) sum_j I(lambda_j) / h_gamma(lambda_j).
-    FARIMA10 rows search alpha in lockstep on two sums at d (_profile_alpha)."""
+    At sigma2_hat, sum_j I_j / f_j = m, so the objective sum_j log f_j +
+    I_j / f_j is the contrast plus offset = m (1 - log 2 pi).  FARIMA10 rows
+    search alpha in lockstep on two sums of the FARIMA00 shape at d
+    (_profile_alpha); no FARIMA10 shape is evaluated."""
 
     def __init__(self, series, family: Family, bounds):
         n = series[0].n
         _check_length(n, 4, "Whittle")
         self.family, self.bounds, self.n = family, bounds, n
+        self.offset = (n - 1) // 2 * (1.0 - math.log(2.0 * math.pi))
         # a zero periodogram fails its row at its first evaluation
         self.pgrams = [p if p.any() else None for p in map(periodogram, series)]
-        self.shape = _whittle_shape(family, n)
+        self.shape = _whittle_shape(Family.FARIMA00 if family is Family.FARIMA10 else family, n)
         if family is Family.FARIMA10:
-            self.h00 = _whittle_shape(Family.FARIMA00, n)
             self.cos = np.cos(fourier_frequencies(n))
 
-    def _profiled(self, shape, pgram: np.ndarray, d: float) -> tuple:
-        """The contrast of shape at (d,), and I / h."""
-        h = shape((d,))
+    def _profiled(self, pgram: np.ndarray, d: float) -> tuple:
+        """The point of self.shape at (d,), and I / h."""
+        h = self.shape((d,))
         w = pgram / h
         m = w.size
-        return m * math.log((2.0 * math.pi / m) * float(w.sum())) + float(np.log(h).sum()), w
+        sigma2 = (2.0 * math.pi / m) * float(w.sum())
+        value = m * math.log(sigma2) + float(np.log(h).sum())
+        return (value, (d,), sigma2, value + self.offset), w
 
     def contrasts(self, pending: list[int], ds: list[float]) -> list[tuple]:
         pgrams = [self.pgrams[i] for i in pending]
@@ -581,36 +589,33 @@ class _WhittleRows:
                 "so the Whittle contrast is undefined"
             )
         if self.family is not Family.FARIMA10:
-            return [(self._profiled(self.shape, p, d)[0], (d,), True) for p, d in zip(pgrams, ds)]
+            return [self._profiled(p, d)[0] for p, d in zip(pgrams, ds)]
         sums = [self._sums(p, d) for p, d in zip(pgrams, ds)]
         profile = lambda at, xs: [self._profile_alpha(*sums[k], x) for k, x in zip(at, xs)]
-        ended = _lockstep(profile, len(sums), self.bounds[1])
-        return [e if isinstance(e, Exception) else (*e[0][:2], e[2]) for e in ended]
+        # a failed alpha search leaves the point at its d a NaN value
+        return [
+            e if isinstance(e, Exception) else e[0] if e[2] else (math.nan, *e[0][1:])
+            for e in _lockstep(profile, len(sums), self.bounds[1])
+        ]
 
     def _sums(self, pgram: np.ndarray, d: float) -> tuple:
-        """(the FARIMA00 contrast at d, B / A, d), with A = sum_j I_j / h00_j,
-        B = sum_j I_j cos(lambda_j) / h00_j and h00 the FARIMA00 shape."""
-        v0, w = self._profiled(self.h00, pgram, d)
-        return v0, float(w @ self.cos) / float(w.sum()), d
+        """(the FARIMA00 contrast and sigma2_hat at d, B / A, d), with
+        A = sum_j I_j / h00_j, B = sum_j I_j cos(lambda_j) / h00_j and h00
+        the FARIMA00 shape."""
+        (v0, _, s0, _), w = self._profiled(pgram, d)
+        return v0, s0, float(w @ self.cos) / float(w.sum()), d
 
-    def _profile_alpha(self, v0: float, rho: float, d: float, alpha: float) -> tuple:
-        """The contrast at (d, alpha), O(1): h = h00 / |1 - alpha e^(i lambda)|^2
+    def _profile_alpha(self, v0: float, s0: float, rho: float, d: float, alpha: float) -> tuple:
+        """The point at (d, alpha), O(1): h = h00 / |1 - alpha e^(i lambda)|^2
         gives sum_j I_j / h_j = A (1 + alpha^2 - 2 alpha rho); 1 - alpha w over
         the n-th roots of unity w multiplies to 1 - alpha^n, so sum_j log |1 -
         alpha e^(i lambda_j)|^2 = log((1 - alpha^n) / (1 - alpha)) - [n even]
         log(1 + alpha)."""
         n = self.n
         roots = math.log1p(-(alpha**n)) - math.log1p(-alpha) - (1 - n % 2) * math.log1p(alpha)
-        return v0 + (n - 1) // 2 * math.log1p(alpha * (alpha - 2.0 * rho)) - roots, (d, alpha), True
-
-    def finish(self, i: int, value: float, gamma_hat: tuple) -> tuple[float, float]:
-        """(sigma2_hat, objective) from the shape at gamma_hat: the profiled
-        variance and the unprofiled contrast sum_j log f_j + I_j / f_j."""
-        pgram = self.pgrams[i]
-        h_hat = self.shape(gamma_hat)
-        sigma2_hat = (2.0 * math.pi / pgram.size) * float(np.sum(pgram / h_hat))
-        f_hat = sigma2_hat * h_hat / (2.0 * math.pi)
-        return sigma2_hat, float(np.sum(np.log(f_hat) + pgram / f_hat))
+        ratio = alpha * (alpha - 2.0 * rho)
+        value = v0 + (n - 1) // 2 * math.log1p(ratio) - roots
+        return value, (d, alpha), s0 * (1.0 + ratio), value + self.offset
 
 
 _ROWS = {"qmle": _QmleRows, "whittle": _WhittleRows}
@@ -629,9 +634,8 @@ def fit_batch(
 
     A QMLE step evaluates the pending d of every unfinished series with one
     2-D AR-weight build, one rfft and one irfft; Whittle rows are evaluated
-    one by one in the same loop.  Every FitResult is built here: an
-    estimator's rows give only its contrasts and, at gamma_hat, its
-    sigma2_hat and objective."""
+    one by one in the same loop.  Every FitResult is built here, from the
+    point its search ended at; nothing is evaluated after the search."""
     family = Family(family)
     if estimator not in _ROWS:
         raise ValueError(f"unknown estimator {estimator!r}")
@@ -647,9 +651,8 @@ def fit_batch(
     except Exception as exc:  # a check every row shares failed
         return [exc] * len(series)
 
-    def result(i: int, found: tuple, nfev: int, success: bool) -> FitResult:
-        value, gamma_hat, ok = found
-        sigma2_hat, objective = rows.finish(i, value, gamma_hat)
+    def result(point: tuple, nfev: int, success: bool) -> FitResult:
+        value, gamma_hat, sigma2_hat, objective = point
         return FitResult(
             estimator=estimator,
             family=family,
@@ -657,13 +660,11 @@ def fit_batch(
             sigma2_hat=sigma2_hat,
             objective=objective,
             iterations=nfev,
-            converged=success and ok,
+            converged=success and math.isfinite(value),
             boundary_pinned=_pinned(gamma_hat, opt_bounds),
         )
 
-    return [
-        out if isinstance(out, Exception) else result(i, *out) for i, out in enumerate(searches)
-    ]
+    return [out if isinstance(out, Exception) else result(*out) for out in searches]
 
 
 def _fit_one(estimator, series, family, bounds) -> FitResult:

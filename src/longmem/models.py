@@ -115,8 +115,10 @@ class ModelSpec:
             alpha = gamma[1]
             if not -1.0 < alpha < 1.0:
                 raise ValueError(f"AR parameter alpha must lie strictly in (-1, 1), got {alpha}")
-        if not self.sigma2 > 0.0:
-            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
+        if not 0.0 < self.sigma2 < math.inf:
+            raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2}")
+        if not math.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu}")
         for g, (lo, hi) in zip(gamma, bounds):
             if not lo <= g <= hi:
                 raise ValueError(f"gamma value {g} outside bounds [{lo}, {hi}]")

@@ -51,6 +51,10 @@ def _coerce(obj, name: str, convert) -> None:
         raise ValueError(f"{name}: {exc}") from exc
 
 
+def _reject_constant(token: str):
+    raise ValueError(f"{token} is not a JSON number")
+
+
 def _integer(value) -> int:
     # operator.index(True) is 1, so a JSON true would pass for a count
     if isinstance(value, bool):
@@ -142,9 +146,10 @@ class MCConfig:
     @classmethod
     def from_json(cls, path) -> "MCConfig":
         """Read a JSON object keyed by the MCConfig fields (each cell keyed by
-        the MCCell fields); any malformed config raises ValueError."""
+        the MCCell fields); any malformed config, NaN and Infinity tokens
+        included, raises ValueError."""
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_reject_constant)
         try:
             return cls(**raw)
         except TypeError as exc:

@@ -68,7 +68,8 @@ class Series:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        # a copy, so that freezing it leaves the caller's array writable
+        values = np.array(self.values, dtype=float)
         if values.ndim != 1 or values.size < 1:
             raise ValueError("Series requires a 1-D array with n >= 1")
         if not np.all(np.isfinite(values)):

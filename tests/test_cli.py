@@ -2,6 +2,7 @@ import contextlib
 import importlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -244,6 +245,9 @@ _GOOD_MC = {
         (_GOOD_MC | {"base_seed": -1}, "base_seed: "),
         (_GOOD_MC | {"n_grid": [100, 100]}, "n_grid: "),
         (_GOOD_MC | {"estimators": ["qmle", "whittle", "qmle"]}, "estimators: "),
+        # json.dumps writes these floats as the NaN and Infinity tokens
+        (_GOOD_MC | {"cells": [{"gamma": [0.2], "sigma2": 4.0, "mu": math.nan}]}, "NaN"),
+        (_GOOD_MC | {"cells": [{"gamma": [0.2], "sigma2": math.inf}]}, "Infinity"),
     ],
     ids=[
         "cells-not-a-list",
@@ -265,6 +269,8 @@ _GOOD_MC = {
         "negative-base_seed",
         "duplicate-n_grid",
         "duplicate-estimators",
+        "mu-nan-token",
+        "sigma2-infinity-token",
     ],
 )
 def test_cli_mc_malformed_config_exits_with_message(tmp_path, capsys, raw, names):
@@ -429,6 +435,24 @@ def test_cli_exit_codes(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--n", "10", "--mu", "nan"],
+        ["simulate", "--n", "10", "--sigma2", "inf"],
+        ["blue", "{csv}", "--mu", "nan"],
+        ["blue", "{csv}", "--sigma2", "nan"],
+    ],
+    ids=["simulate-mu", "simulate-sigma2", "blue-mu", "blue-sigma2"],
+)
+def test_cli_non_finite_mu_or_sigma2_exits_1_naming_the_field(tmp_path, capsys, argv):
+    good = tmp_path / "good.csv"
+    series_to_csv(simulate(ModelSpec(family="farima00", gamma=(0.2,)), 50, GenConfig(seed=1)), good)
+    assert run_cli(*(a.format(csv=good) for a in argv)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {argv[-2].lstrip('-')} must be"), err
+
+
+@pytest.mark.parametrize(
     "lag1,message",
     [(2.0, "not a covariance"), (np.nan, "must be finite")],
     ids=["indefinite", "nan"],
@@ -466,6 +490,24 @@ def _subprocess_env() -> dict:
     """The environment under which a child Python imports this longmem."""
     path = [str(Path(longmem.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+
+
+@pytest.mark.parametrize("extra", [[], ["--stderr"]], ids=["plain", "stderr"])
+@pytest.mark.parametrize("estimator", ["qmle", "whittle"])
+def test_cli_fit_of_an_overflowing_series_exits_2_with_strict_json(tmp_path, estimator, extra):
+    # S_n and the periodogram overflow: a fit that is not converged, with no
+    # traceback and no NaN or Infinity token
+    path = tmp_path / "big.csv"
+    series = simulate(ModelSpec(family="farima00", gamma=(0.2,)), 300, GenConfig(seed=1))
+    series_to_csv(Series(values=1e200 * series.values), path)
+    cmd = [sys.executable, "-m", "longmem.cli", "fit", str(path), "--estimator", estimator]
+    proc = subprocess.run(
+        cmd + extra, capture_output=True, text=True, env=_subprocess_env(), timeout=300
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    out = json.loads(proc.stdout, parse_constant=_reject_constant)
+    assert not out["converged"] and out["sigma2_hat"] is None
 
 
 def test_lm_work_loads_no_further_module():

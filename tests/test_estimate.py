@@ -1,4 +1,5 @@
 import importlib
+import json
 import math
 
 import numpy as np
@@ -153,6 +154,27 @@ def test_fit_qmle_sigma2_identity():
     assert fit.objective == pytest.approx(s, rel=1e-12)
 
 
+@pytest.mark.parametrize("family", ["farima00", "farima10", "lm"])
+def test_fits_of_an_overflowing_series_are_not_converged(family):
+    # S_n and the periodogram of a finite series scaled by 1e200 overflow:
+    # such a fit has no finite contrast, and as_dict writes strict JSON
+    series = Series(values=1e200 * sim("farima00", (0.2,), 1.0, 300, seed=5).values)
+    for fit in (fit_qmle, fit_whittle):
+        with pytest.warns(RuntimeWarning):  # overflow, for FARIMA10 also invalid values
+            result = fit(series, family)
+        assert not result.converged
+        assert not math.isfinite(result.sigma2_hat)
+        out = result.as_dict()
+        assert out["sigma2_hat"] is None and out["objective"] is None
+        json.dumps(out, allow_nan=False)
+
+
+def test_fit_result_as_dict_writes_non_finite_stderr_as_null():
+    fit = fit_qmle(sim("farima00", (0.2,), 1.0, 300, seed=5), "farima00")
+    fit.stderr = (0.1, math.inf)
+    assert fit.as_dict()["stderr"] == [0.1, None]
+
+
 def test_fit_qmle_scale_invariance():
     series = sim("farima00", (0.25,), 1.0, 800, seed=43)
     c = 5.0
@@ -286,30 +308,56 @@ def test_fit_whittle_farima10_two_dimensional(monkeypatch):
     assert fit.iterations == len(sent)
 
 
-def _whittle_profiled(series, gamma, family="farima10"):
-    # m log sigma2_hat(gamma) + sum_j log h_gamma(lambda_j), from the public
-    # spectral_density alone (sigma2 = 2 pi makes f = h)
+def _whittle_public(series, gamma, family="farima10"):
+    # from the public spectral_density alone (sigma2 = 2 pi makes f = h): the
+    # profiled contrast m log sigma2_hat(gamma) + sum_j log h_gamma(lambda_j),
+    # sigma2_hat(gamma) = (2 pi / m) sum_j I_j / h_j, and the objective
+    # sum_j log f_j + I_j / f_j with f at sigma2_hat
     pgram = periodogram(series)
-    spec = spec_of(family, *gamma, sigma2=2.0 * math.pi)
-    h = spectral_density(spec, fourier_frequencies(series.n))
-    return pgram.size * math.log(2.0 * math.pi * np.mean(pgram / h)) + np.sum(np.log(h))
+    lam = fourier_frequencies(series.n)
+    h = spectral_density(spec_of(family, *gamma, sigma2=2.0 * math.pi), lam)
+    sigma2 = 2.0 * math.pi / pgram.size * np.sum(pgram / h)
+    f = spectral_density(spec_of(family, *gamma, sigma2=sigma2), lam)
+    contrast = pgram.size * math.log(sigma2) + np.sum(np.log(h))
+    return contrast, sigma2, np.sum(np.log(f) + pgram / f)
+
+
+def _whittle_profiled(series, gamma, family="farima10"):
+    return _whittle_public(series, gamma, family)[0]
 
 
 @pytest.mark.parametrize("n", [300, 301, 1000, 1001])
 def test_whittle_farima10_alpha_contrast_is_the_public_one(n):
-    # the O(1) contrast in alpha, from the two frequency sums at d, against
-    # the profiled contrast built from spectral_density, up to alpha within
-    # 1e-3 of both default bounds and for odd and even n
+    # the O(1) point in alpha, from the two frequency sums at d, against the
+    # profiled contrast, sigma2_hat and objective built from spectral_density,
+    # up to alpha within 1e-3 of both default bounds and for odd and even n
     series = sim("farima10", (0.3, 0.5), 2.0, n, seed=89)
     bounds = estimate._fit_bounds("farima10", None)
     rows = estimate._WhittleRows([series], Family.FARIMA10, bounds)
     for d in (0.011, 0.25, 0.489):
         sums = rows._sums(rows.pgrams[0], d)
         for alpha in (-0.9899, -0.989, -0.5, 0.0, 0.3, 0.989, 0.9899):
-            value, gamma, ok = rows._profile_alpha(*sums, alpha)
-            assert gamma == (d, alpha) and ok
-            direct = _whittle_profiled(series, (d, alpha))
-            assert value == pytest.approx(direct, rel=1e-12, abs=0.0), (d, alpha)
+            value, gamma, sigma2, objective = rows._profile_alpha(*sums, alpha)
+            assert gamma == (d, alpha)
+            public = pytest.approx(_whittle_public(series, (d, alpha)), rel=1e-12, abs=0.0)
+            assert (value, sigma2, objective) == public, (d, alpha)
+
+
+@pytest.mark.parametrize("n", [1000, 1001])
+@pytest.mark.parametrize(
+    "family,gamma",
+    [("farima00", (0.3,)), ("farima10", (0.25, 0.4)), ("lm", (0.3,))],
+    ids=["farima00", "farima10", "lm"],
+)
+def test_whittle_fit_sigma2_and_objective_are_the_public_ones(family, gamma, n):
+    # a fit reads sigma2_hat and objective off its search's own sums; at
+    # gamma_hat they are (2 pi / m) sum_j I_j / h_j and sum_j log f_j + I_j / f_j
+    series = sim(family, gamma, 2.0, n, seed=97)
+    fit = fit_whittle(series, family)
+    assert fit.converged and not fit.boundary_pinned
+    _, sigma2, objective = _whittle_public(series, fit.gamma_hat, family)
+    assert fit.sigma2_hat == pytest.approx(sigma2, rel=1e-12, abs=0.0)
+    assert fit.objective == pytest.approx(objective, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize(

@@ -55,6 +55,13 @@ def test_spec_rejects_bad_parameters():
         ModelSpec(family="nosuch", gamma=(0.2,))
 
 
+@pytest.mark.parametrize("field", ["sigma2", "mu"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_spec_rejects_a_non_finite_sigma2_or_mu(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        spec_of("farima00", 0.2, **{field: value})
+
+
 def test_operations_reject_invalid_sizes():
     s = spec_of("farima00", 0.3)
     with pytest.raises(ValueError):

@@ -42,6 +42,14 @@ def test_series_validation():
     assert s.n == 2
 
 
+def test_series_leaves_the_callers_array_writable():
+    x = np.array([1.0, 2.0, 3.0])
+    s = Series(values=x)
+    assert x.flags.writeable and not s.values.flags.writeable
+    x[0] = 9.0
+    assert s.values.tolist() == [1.0, 2.0, 3.0]
+
+
 def test_genconfig_validation():
     with pytest.raises(ValueError):
         GenConfig(generator="bogus")
