@@ -9,6 +9,7 @@ import argparse
 import functools
 import io
 import json
+import logging
 import os
 import sys
 import warnings
@@ -61,6 +62,20 @@ def _load_series(path: str) -> Series:
 def _fail(message: str, code: int = 1) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
+
+
+class _WarningLines(logging.Handler):
+    """Each record of the longmem logger as one warning: line on the stderr
+    of the moment it is emitted, so a caller that redirects stderr sees it."""
+
+    def emit(self, record: logging.LogRecord) -> None:
+        message = record.getMessage()
+        if record.exc_info:
+            message += f": {record.exc_info[1]}"
+        try:
+            print(f"warning: {message}", file=sys.stderr)
+        except Exception:
+            self.handleError(record)
 
 
 def _write(path: str, write) -> None:
@@ -299,8 +314,11 @@ def _silence_stdout() -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # library warnings and logged reasons become one line each, like the
+    # error: lines
+    log, handler = logging.getLogger("longmem"), _WarningLines()
+    log.addHandler(handler)
     with warnings.catch_warnings():
-        # library warnings become one line each, like the error: lines
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
             code = args.func(args)
@@ -312,6 +330,8 @@ def main(argv=None) -> int:
         except BrokenPipeError:
             _silence_stdout()
             return _fail("stdout was closed before the output was written")
+        finally:
+            log.removeHandler(handler)
 
 
 if __name__ == "__main__":

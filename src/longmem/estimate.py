@@ -546,6 +546,8 @@ class _QmleRows:
             # with w_0 = 0: S_n is quadratic in alpha
             ss = float(np.dot(w[:-1], w[:-1]))
             alpha = float(np.dot(w[1:], w[:-1])) / ss if ss > 0.0 else 0.0
+            # an overflowing S_n gives inf / inf, which no clamp catches
+            alpha = alpha if math.isfinite(alpha) else 0.0
             gamma = (d, min(max(alpha, self.bounds[1][0]), self.bounds[1][1]))
             w = np.concatenate([w[:1], w[1:] - gamma[1] * w[:-1]])
         s = float(np.dot(w, w))

@@ -11,17 +11,20 @@ weights a_0, a_1, ... have a_0 = 1 and the innovation standard deviation
 sigma enters only through simulation and the likelihood.  The autoregressive
 weights u_1, u_2, ... satisfy sum(u_k) = 1 and never depend on sigma2.
 
-All coefficient engines run in O(K) by multiplicative recursion, except two
-O(K log K) power-series products by real FFT: the LM moving-average weights
-come from Newton series inversion, the FARIMA10 ones are psi times the
-geometric series alpha^k.  Every table is returned read-only.  Every call
+All coefficient engines run in O(K) by multiplicative recursion or closed
+form, except the FARIMA10 moving-average weights, psi times the geometric
+series alpha^k, one O(K log K) power-series product by real FFT.  The LM
+moving-average weights a_0..a_256 come from Newton series inversion of the
+AR polynomial, every later one from the complete singular expansion of its
+inverse (_weight_expansion).  Every table is returned read-only.  Every call
 computes its coefficients afresh: the module caches only FFT lengths, and
 the library's other caches live in specfun (the zeta table), simulate and
 estimate, whose campaigns reuse them.
 
 Autocovariances have one exact route per family: the FARIMA00 closed form,
 that form filtered by the FARIMA10 AR(1) factor, and for LM the FFT
-autocorrelation of the MA weights plus the tail of their known expansion.
+autocorrelation of the MA weights plus the tail of the same expansion,
+integrated by Gauss rules at 32 Chebyshev lags and interpolated to the rest.
 Every transform goes through numpy.fft, at 5-smooth lengths from fast_length.
 """
 
@@ -214,6 +217,12 @@ def ar_coeffs_batch(family: Family, ds, K: int) -> np.ndarray:
     return _readonly(_one_parameter_ar(family, ds[:, np.newaxis], K))
 
 
+# LM MA weights a_0.._LM_HEAD come from series inversion, later ones from
+# the singular expansion of 1/T through w^_LM_ORDER (see _weight_expansion)
+_LM_HEAD = 256
+_LM_ORDER = 4
+
+
 def _ma_coeffs_gamma(family: Family, gamma: tuple[float, ...], K: int) -> np.ndarray:
     family, gamma, K = _checked(family, gamma, K)
     d = gamma[0]
@@ -222,8 +231,11 @@ def _ma_coeffs_gamma(family: Family, gamma: tuple[float, ...], K: int) -> np.nda
     elif family is Family.FARIMA10:
         # a = psi / (1 - alpha z), a product with the series alpha^k
         a = _series_product(_frac_diff_coeffs(-d, K), gamma[1] ** np.arange(K + 1.0), K + 1)
-    else:  # LM: invert the AR polynomial 1 - sum_k u_k z^k
-        a = invert_series(np.r_[1.0, -ar_coeffs_gamma(family, gamma, K)])
+    else:  # LM: invert the AR polynomial 1 - sum_k u_k z^k for a short head
+        head = min(K, _LM_HEAD)
+        a = np.empty(K + 1)
+        a[: head + 1] = invert_series(np.r_[1.0, -ar_coeffs_gamma(family, gamma, head)])
+        a[head + 1 :] = _expansion_values(_weight_expansion(family, d), d, np.arange(head + 1.0, K + 1))
     return _readonly(a)
 
 
@@ -314,7 +326,10 @@ def invert_series(c) -> np.ndarray:
     b_k = -sum_{j=1..k} c_j b_(k-j) / c_0 takes about 0.6 s.  FFT products
     round relative to the largest coefficients: on the LM AR polynomials at
     K = 12,000, the largest relative error against that recursion run in
-    long double was 3.5e-11 at d = 0.011 and 9.4e-13 at d = 0.15.
+    long double was 3.5e-11 at d = 0.011 and 9.4e-13 at d = 0.15.  The LM
+    moving-average weights therefore invert only a_0..a_256, within 2.3e-16
+    of the long-double recursion; past those, their singular expansion is
+    within 6.2e-15 relative at d = 0.011, 0.25 and 0.489.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim != 1 or c.size == 0:
@@ -333,8 +348,11 @@ def invert_series(c) -> np.ndarray:
     return b
 
 
-# nodes per tail rule: within 3e-13 of r(0) of per-lag quadrature for d <= 0.489
+# nodes per tail rule, and lags at which the tail is evaluated and then
+# interpolated: more of either moves the tail by no more than its rounding,
+# 4e-14 of r(0) at d = 0.489
 _TAIL_NODES = 16
+_TAIL_LAGS = 32
 
 
 def _power_weight_rules(c) -> tuple[np.ndarray, np.ndarray]:
@@ -350,36 +368,110 @@ def _power_weight_rules(c) -> tuple[np.ndarray, np.ndarray]:
     return gauss_rule(diagonal, offdiagonal, 1.0 / (c[:, 0] + 1.0))
 
 
-def _tail_corrections(C, beta, Ka: int, maxlag: int) -> np.ndarray:
-    """Tail sum_{i > Ka - k} psi_i psi_(i+k) of psi_i = sum_j C_j i^beta_j for
-    every lag k = 0..maxlag, by the midpoint rule as an integral from
-    L = Ka - k + 1/2.  On x = L/t the pair (p, q) is t^(-beta_p-beta_q-2) times
-    the smooth L^(beta_p+beta_q+1) (1 + kt/L)^beta_q; beta steps evenly, so the
-    pairs with equal p + q share one Gauss rule of the weight t^(-2-e),
-    e = beta_p + beta_q, for all lags; the rules are built together."""
-    k = np.arange(maxlag + 1.0)
+def _tail_corrections(C: np.ndarray, d: float, Ka: int, maxlag: int) -> np.ndarray:
+    """Tail sum_{i > Ka - k} psi_i psi_(i+k) of the weights
+    psi_i = sum_(m,q) C[m, q] i^((d-1)(m+1) - q) for every lag k = 0..maxlag:
+    by Euler-Maclaurin, the integral of f(x) = psi_x psi_(x+k) from
+    L = Ka - k + 1/2 plus f'(L)/24, the midpoint rule's first correction;
+    the next one is below 1e-14 of r(0) once L >= 1000.
+
+    On x = L/t, with y = t/L and P_m(y) = sum_q C[m, q] y^q, the integrand is
+    L^(e_s+1) t^(-2-e_s) P_m(y) P_n(y/g) g^((d-1)(n+1)), g = 1 + k y, for each
+    pair of rows (m, n) with m + n = s and e_s = (d-1)(s+2): one Gauss rule of
+    the weight t^(-2-e_s) per s, as the powers y^q are smooth.  The tail is
+    analytic in k up to its singularity at k = Ka + 1/2, at least maxlag/2
+    beyond the last lag, so it is evaluated at _TAIL_LAGS Chebyshev lags and
+    interpolated to the others."""
+    M = C.shape[0]
+    e = (d - 1.0) * np.arange(2.0, 2 * M + 1)
+    t, w = _power_weight_rules(-2.0 - e)
+    rows = np.arange(M)
+    # C times its exponents: the expansion of x psi'(x)
+    dC = C * ((d - 1.0) * (rows[:, np.newaxis] + 1.0) - np.arange(C.shape[1]))
+
+    # the lags k = maxlag (1 + cos theta) / 2 at the Chebyshev points of the first kind
+    theta = math.pi * (np.arange(_TAIL_LAGS) + 0.5) / _TAIL_LAGS
+    k = 0.5 * maxlag * (1.0 + np.cos(theta))[:, np.newaxis]
     L = Ka - k + 0.5
-    n, out = len(C), np.zeros(maxlag + 1)
-    pairs = [range(max(0, s - n + 1), min(s, n - 1) + 1) for s in range(2 * n - 1)]
-    e = np.array([beta[s - qs[0]] + beta[qs[0]] for s, qs in enumerate(pairs)])
-    for s, (qs, t, w) in enumerate(zip(pairs, *_power_weight_rules(-2.0 - e))):
-        rho = np.log(1.0 + (k / L)[:, np.newaxis] * t)
-        out += L ** (e[s] + 1.0) * sum(C[s - q] * C[q] * (np.exp(beta[q] * rho) @ w) for q in qs)
+    y = t[:, np.newaxis, :] / L  # (s, lag, node)
+    g = 1.0 + k * y
+    P = _row_values(C, y)
+    Q = _row_values(C, y / g) * _powers(g ** (d - 1.0), M + 1)[1:]
+    f = np.zeros(y.shape)
+    for m in rows:
+        f[m + rows] += P[m, m + rows] * Q[rows, m + rows]
+    tail = (L[:, 0] ** (e[:, np.newaxis] + 1.0) * (f @ w[..., np.newaxis])[..., 0]).sum(axis=0)
+    ends = np.hstack([L, L + k])
+    psi, dpsi = _expansion_values(C, d, ends), _expansion_values(dC, d, ends) / ends
+    tail += (dpsi[:, 0] * psi[:, 1] + psi[:, 0] * dpsi[:, 1]) / 24.0
+    # its Chebyshev series, summed at every lag by Clenshaw's recurrence
+    # (numpy.polynomial would cost every process that imports longmem 5 ms
+    # and 0.75 MB)
+    coef = np.cos(np.outer(np.arange(_TAIL_LAGS), theta)) @ tail * (2.0 / _TAIL_LAGS)
+    x = np.linspace(-1.0, 1.0, maxlag + 1)
+    b1 = b2 = 0.0
+    for c in coef[:0:-1]:
+        b1, b2 = c + 2.0 * x * b1 - b2, b1
+    return 0.5 * coef[0] + x * b1 - b2
+
+
+def _weight_expansion(family: Family, d: float) -> np.ndarray:
+    """C[m, q] of the MA weights' expansion psi_i ~ sum C[m, q] i^((d-1)(m+1) - q).
+
+    FARIMA00: Gamma(i+d) / (Gamma(d) Gamma(i+1)) = i^(d-1) (1 + d(d-1)/(2i)
+    + d(d-1)(d-2)(3d-1)/(24 i^2) + ...) / Gamma(d), three terms.  LM,
+    complete through w^4 (Flajolet & Odlyzko 1990):
+    with w = -log z, T(z) = 1 - sum u_k z^k = a w^d + sum_(j>=1) t_j w^j,
+    a = -Gamma(-d) / zeta(1+d), t_j = (-1)^(j+1) zeta(1+d-j) / (j! zeta(1+d)),
+    so 1/T = sum_m (-1)^m w^(gamma_mq) [y^q] S(y)^m / a, S(y) = sum_j t_j
+    y^(j-1) / a, gamma_mq = m + q - (m+1) d, and each w^gamma has the exact
+    coefficients i^(-gamma-1) / Gamma(-gamma) of the polylogarithm
+    Li_(gamma+1)(z) less a part analytic at z = 1.  The terms with
+    gamma_mq <= 4 are kept, those with integer gamma_mq vanish; from
+    i = 256 on, they give the weights within 1e-14 relative."""
+    if family is Family.FARIMA00:
+        return np.array([[1.0, d * (d - 1.0) / 2.0, d * (d - 1.0) * (d - 2.0) * (3.0 * d - 1.0) / 24.0]]) * rgamma(d)
+    z = zeta_series(d)
+    a = math.gamma(1.0 - d) / (d * z[0])
+    j = np.arange(1, _LM_ORDER + 2)
+    S = (-1.0) ** (j + 1) * z[j] / (np.cumprod(j) * z[0] * a)
+    # rows m while gamma_m0 <= _LM_ORDER, columns q <= _LM_ORDER
+    m = np.arange(int((_LM_ORDER + d) / (1.0 - d)) + 1)[:, np.newaxis]
+    gamma = m + np.arange(_LM_ORDER + 1.0) - (m + 1) * d
+    # row m is (-S)^m / a, truncated after y^_LM_ORDER
+    C = np.empty(gamma.shape)
+    C[0] = np.r_[1.0 / a, np.zeros(_LM_ORDER)]
+    for row in range(1, C.shape[0]):
+        C[row] = np.convolve(C[row - 1], -S)[: _LM_ORDER + 1]
+    keep = gamma <= _LM_ORDER
+    C[keep] *= rgamma(-gamma[keep])
+    C[~keep] = 0.0
+    return C
+
+
+def _powers(y: np.ndarray, n: int) -> np.ndarray:
+    """y^0 .. y^(n-1) along a new first axis."""
+    out = np.empty((n,) + y.shape)
+    out[0] = 1.0
+    for j in range(1, n):
+        np.multiply(out[j - 1], y, out=out[j])
     return out
 
 
-def _weight_expansion(family: Family, d: float) -> tuple[np.ndarray, np.ndarray]:
-    """(C_j, beta_j) of the MA weights' expansion psi_i ~ sum_j C_j i^beta_j."""
-    if family is Family.FARIMA00:
-        # Gamma(i+d) / (Gamma(d) Gamma(i+1)) = i^(d-1) (1 + d(d-1)/(2i) + ...) / Gamma(d)
-        return np.array([1.0, 0.5 * d * (d - 1.0)]) * rgamma(d), np.array([d - 1.0, d - 2.0])
-    # LM, with w = -log z: T(z) = a w^d + b w + O(w^2), so 1/T has the singular
-    # terms (-b)^(j-1) a^(-j) w^(j(1-d)-1), whose coefficients are exactly
-    # C_j i^(j(d-1)) (Flajolet & Odlyzko 1990); no i^(d-2) term arises
-    z = zeta_series(d, 0)
-    a, b = math.exp(math.lgamma(1.0 - d)) / (d * z), zeta_series(d, 1) / z
-    j = np.arange(1.0, 4.0)
-    return (-b) ** (j - 1.0) / a**j * rgamma(j * (d - 1.0) + 1.0), j * (d - 1.0)
+def _row_values(C: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """P_m(y) = sum_q C[m, q] y^q for each row m, along a new first axis."""
+    return (C @ _powers(y, C.shape[1]).reshape(C.shape[1], -1)).reshape(C.shape[:1] + y.shape)
+
+
+def _expansion_values(C: np.ndarray, d: float, i: np.ndarray) -> np.ndarray:
+    """sum_(m,q) C[m, q] i^((d-1)(m+1) - q) at each i >= 1, by Horner's rule
+    in i^(d-1) over the rows."""
+    x = i ** (d - 1.0)
+    rows = _row_values(C, 1.0 / i)
+    out = rows[-1]
+    for row in rows[-2::-1]:
+        out = out * x + row
+    return x * out
 
 
 def _autocov_by_convolution(
@@ -388,12 +480,15 @@ def _autocov_by_convolution(
     """r(k) = sum_i a_i a_{i+k} truncated at K, plus the tail of the weights'
     expansion (unit-noise scale): the LM route, and the reference that tests
     hold the FARIMA00 closed form to."""
-    Ka = max(K or 0, maxlag + 10_000)
+    # each lag's tail starts past i = 1000, where the expansion and the first
+    # Euler-Maclaurin term hold to rounding, and its singularity in the lag,
+    # at Ka + 1/2, stays maxlag/2 or more past the last lag
+    Ka = max(K or 0, maxlag + max(1_000, maxlag // 2))
     # autocorrelation by |rfft|^2; N > Ka + maxlag keeps lags 0..maxlag unaliased
     N = fast_length(Ka + 1 + maxlag)
     A = rfft(_ma_coeffs_gamma(family, gamma, Ka), N)
     r = irfft(A.real**2 + A.imag**2, N)[: maxlag + 1]
-    return r + _tail_corrections(*_weight_expansion(family, gamma[0]), Ka, maxlag)
+    return r + _tail_corrections(_weight_expansion(family, gamma[0]), gamma[0], Ka, maxlag)
 
 
 def _farima00_autocov(d: float, maxlag: int) -> np.ndarray:
@@ -420,9 +515,12 @@ def autocovariance(spec: ModelSpec, maxlag: int) -> np.ndarray:
     FARIMA00 is the closed-form recursion.  FARIMA10 filters it through the
     AR(1) factor; |alpha| above about 0.99996 (custom gamma_bounds only) would
     need over 10^6 terms and raises ValueError.  LM is the FFT autocorrelation
-    of the MA weights to K = maxlag + 10000 plus the tail of their three-term
-    expansion.  Against quadrature of the exact spectral density, FARIMA10 is
-    within 3e-14 of r(0) and LM within 5e-11 for d <= 0.489.
+    of the MA weights to K = maxlag + max(1000, maxlag // 2) plus the tail of
+    their complete expansion, with the Euler-Maclaurin term of its midpoint
+    rule.  Against quadrature of the exact spectral density, FARIMA10 is
+    within 3e-14 of r(0) and LM within 5e-13, the quadrature's own tolerance,
+    for d <= 0.489; the LM tail at lag 0 is within 1e-14 of r(0) of its exact
+    sum in Hurwitz zeta values.
     """
     if maxlag < 0:
         raise ValueError(f"maxlag must be >= 0, got {maxlag}")

@@ -2,10 +2,12 @@ import contextlib
 import importlib
 import io
 import json
+import logging
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -508,6 +510,26 @@ def test_cli_fit_of_an_overflowing_series_exits_2_with_strict_json(tmp_path, est
     assert "Traceback" not in proc.stderr
     out = json.loads(proc.stdout, parse_constant=_reject_constant)
     assert not out["converged"] and out["sigma2_hat"] is None
+
+
+def test_cli_logged_reasons_are_warning_lines(tmp_path):
+    # standard_errors logs why it has none; main prints that as a warning:
+    # line on the stderr it finds then, and leaves no handler behind
+    path = tmp_path / "big.csv"
+    series = simulate(ModelSpec(family="farima00", gamma=(0.2,)), 300, GenConfig(seed=1))
+    series_to_csv(Series(values=1e200 * series.values), path)
+    logger = logging.getLogger("longmem")
+    handlers = list(logger.handlers)
+    err = io.StringIO()
+    # the overflow warnings reach main's own warning: lines under any -W flag
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        assert main(["fit", str(path), "--stderr"]) == 2
+    lines = err.getvalue().splitlines()
+    assert any(line.startswith("warning: overflow") for line in lines)
+    assert any(line.startswith("warning: no standard errors for farima00") for line in lines)
+    assert all(line.startswith(("warning:", "error:")) for line in lines), lines
+    assert logger.handlers == handlers
 
 
 def test_lm_work_loads_no_further_module():

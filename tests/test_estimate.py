@@ -28,7 +28,7 @@ from longmem.estimate import (
     standard_errors,
     truncated_predictor,
 )
-from longmem.models import Family, ModelSpec, ar_coeffs, autocovariance, dar_coeffs, ma_coeffs
+from longmem.models import Family, ModelSpec, ar_coeffs, autocovariance, dar_coeffs, default_gamma_bounds, ma_coeffs
 from longmem.simulate import GenConfig, Series, simulate, white_noise
 
 
@@ -167,6 +167,19 @@ def test_fits_of_an_overflowing_series_are_not_converged(family):
         out = result.as_dict()
         assert out["sigma2_hat"] is None and out["objective"] is None
         json.dumps(out, allow_nan=False)
+
+
+def test_farima10_qmle_of_an_overflowing_series_profiles_a_finite_alpha():
+    # S_n overflows, so the profiled alpha is inf / inf: it is taken as 0,
+    # as when the lagged sum of squares is 0, and the fit stays not converged
+    series = Series(values=1e200 * sim("farima00", (0.2,), 1.0, 300, seed=5).values)
+    with pytest.warns(RuntimeWarning):
+        fit = fit_qmle(series, "farima10")
+    assert not fit.converged
+    (d_lo, d_hi), (a_lo, a_hi) = default_gamma_bounds(Family.FARIMA10)
+    d, alpha = fit.gamma_hat
+    assert math.isfinite(d) and d_lo <= d <= d_hi
+    assert math.isfinite(alpha) and a_lo <= alpha <= a_hi
 
 
 def test_fit_result_as_dict_writes_non_finite_stderr_as_null():

@@ -487,19 +487,25 @@ def test_autocov_convolution_route_matches_closed_form():
         assert np.max(np.abs(conv - closed)) / closed[0] < 1e-9, d
 
 
+def _exponents(table, d):
+    # beta[m, q] = (d - 1)(m + 1) - q, the power of i that table[m, q] multiplies
+    m, q = np.indices(table.shape)
+    return (d - 1.0) * (m + 1) - q
+
+
 @pytest.mark.parametrize("family", ["farima00", "lm"])
 @pytest.mark.parametrize("d", [0.011, 0.2, 0.489])
 def test_tail_rules_match_scipy_and_mpmath(family, d):
     # every rule _tail_corrections builds: weight t^(-2-e) on (0, 1) for each
-    # exponent sum e = beta_p + beta_q.  scipy's roots_sh_jacobi maps its
-    # nodes from (-1, 1) and so loses up to 5e-13 relative at the smallest
-    # of them; the exact zeros come from mpmath
+    # exponent sum e = (d - 1)(s + 2) of two rows s apart.  scipy's
+    # roots_sh_jacobi maps its nodes from (-1, 1) and so loses up to 5e-13
+    # relative at the smallest of them; the exact zeros come from mpmath
     from scipy.special import roots_sh_jacobi
 
     mp = pytest.importorskip("mpmath")
-    _, beta = _weight_expansion(Family(family), d)
-    exponents = sorted({beta[p] + beta[q] for p in range(beta.size) for q in range(beta.size)})
-    for e, t, w in zip(exponents, *_power_weight_rules(-2.0 - np.array(exponents))):
+    rows = _weight_expansion(Family(family), d).shape[0]
+    exponents = (d - 1.0) * np.arange(2.0, 2 * rows + 1)
+    for e, t, w in zip(exponents, *_power_weight_rules(-2.0 - exponents)):
         ref_t, ref_w = roots_sh_jacobi(models._TAIL_NODES, -1.0 - e, -1.0 - e)
         assert np.all(np.abs(w - ref_w) <= 1e-10 * ref_w), e
         assert np.all(np.abs(t - ref_t) <= 1e-12 * ref_t), e
@@ -513,12 +519,14 @@ def test_tail_rules_match_scipy_and_mpmath(family, d):
 @pytest.mark.parametrize("family, gamma", [("lm", (0.489,)), ("farima00", (0.489,))])
 def test_tail_corrections_match_per_lag_quadrature(family, gamma):
     # reference: adaptive quadrature of the tail integral of the multi-term
-    # expansion psi_i = sum_j C_j i^beta_j at each lag, on x = L/t with
-    # L = Ka - k + 1/2 (midpoint rule for the sum over i > Ka - k)
+    # expansion psi_i = sum C[m, q] i^beta[m, q] at each lag, on x = L/t with
+    # L = Ka - k + 1/2, plus the Euler-Maclaurin term f'(L)/24 of the
+    # midpoint rule for the sum over i > Ka - k
     maxlag = 4096
     Ka = maxlag + 10_000
-    C, beta = _weight_expansion(Family(family), gamma[0])
-    tail = _tail_corrections(C, beta, Ka, maxlag)
+    table = _weight_expansion(Family(family), gamma[0])
+    C, beta = table.ravel(), _exponents(table, gamma[0]).ravel()
+    tail = _tail_corrections(table, gamma[0], Ka, maxlag)
     a = _ma_coeffs_gamma(Family(family), gamma, Ka)
     r0 = float(a @ a) + tail[0]
     for k in (0, 1, 8, 3940, 4096):
@@ -531,37 +539,142 @@ def test_tail_corrections_match_per_lag_quadrature(family, gamma):
             return psi_x * psi_xk * L / t**2
 
         ref, _ = quad(integrand, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=400)
+        psi = [np.sum(C * x**beta) for x in (L, L + k)]
+        dpsi = [np.sum(C * beta * x ** (beta - 1.0)) for x in (L, L + k)]
+        ref += (dpsi[0] * psi[1] + psi[0] * dpsi[1]) / 24.0
         assert abs(tail[k] - ref) <= 1e-10 * r0, k
 
 
 @pytest.mark.parametrize("d", [0.1, 0.3, 0.45, 0.489])
 def test_lm_ma_weights_match_singular_expansion(d):
-    # the three-term expansion of the LM weights against Newton-inverted ones
-    # far out; the first term alone is 3e-6 to 1.2e-4 off at i = 10^5
+    # the three leading terms (q = 0, m <= 2) of the LM weights' expansion
+    # against the weights far out; the first term alone is 3e-6 to 1.2e-4
+    # off at i = 10^5
     i = 100_000
     psi = ma_coeffs(spec_of("lm", d), 2**17)[i]
-    C, beta = _weight_expansion(Family.LM, d)
+    C, beta = _weight_expansion(Family.LM, d)[:3, 0], (d - 1.0) * np.arange(1.0, 4.0)
     assert np.sum(C * float(i) ** beta) == pytest.approx(psi, rel=1e-9)
 
 
+def _lm_ma_reference(d, K):
+    # the O(K^2) recursion a_n = sum_(k=1..n) u_k a_(n-k) in long double, on
+    # u_k = k^(-1-d) / zeta(1+d) with zeta from mpmath: the weights' rounding
+    # to double alone moves the far a_n by up to 3e-14 relative
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        zeta = np.longdouble(str(mp.zeta(1 + mp.mpf(d))))
+    k = np.arange(1, K + 1, dtype=np.longdouble)
+    u = k ** (-1 - np.longdouble(d)) / zeta
+    a = np.empty(K + 1, dtype=np.longdouble)
+    a[0] = 1.0
+    for n in range(1, K + 1):
+        a[n] = np.dot(u[:n], a[n - 1 :: -1])
+    return a.astype(float)
+
+
+@pytest.mark.parametrize("d", [0.011, 0.25, 0.489])
+def test_lm_far_weights_match_long_double_recursion(d):
+    # past the inverted head, every weight comes from the complete singular
+    # expansion; its largest relative error was 6e-15, at d = 0.25 next to
+    # the head, where full Newton inversion was 4e-11 off at d = 0.011
+    K = 12_000
+    head = models._LM_HEAD
+    a = ma_coeffs(spec_of("lm", d), K)
+    ref = _lm_ma_reference(d, K)
+    assert np.max(np.abs(a[head + 1 :] / ref[head + 1 :] - 1.0)) <= 1e-14
+    # the head is series inversion, which rounds relative to a_0 = 1
+    assert np.max(np.abs(a[: head + 1] - ref[: head + 1])) <= 1e-15
+
+
+@pytest.mark.parametrize("d", [0.011, 0.1, 0.25, 1.0 / 3.0, 0.45, 0.489])
+def test_lm_expansion_leading_constant_is_the_paper_result(d):
+    # the paper's first result in closed form: u_k = c_u k^(-1-d) with
+    # c_u = 1/zeta(1+d), and a_k ~ C[0, 0] k^(d-1), so c_u C[0, 0] = d sin(pi d)/pi
+    C00 = _weight_expansion(Family.LM, d)[0, 0]
+    assert C00 / riemann_zeta(1.0 + d) == pytest.approx(d * math.sin(math.pi * d) / math.pi, rel=1e-14)
+
+
+def _lm_autocovariance_reference(d, maxlag, lags):
+    # the route before the expansion took over: the MA weights Newton-inverted
+    # to K = maxlag + 10,000, FFT autocorrelation, and the tail of the same
+    # expansion at each lag, with one Gauss rule per pair of terms
+    Ka = maxlag + 10_000
+    a = invert_series(np.r_[1.0, -ar_coeffs_gamma(Family.LM, (d,), Ka)])
+    N = models.fast_length(Ka + 1 + maxlag)
+    A = np.fft.rfft(a, N)
+    r = np.fft.irfft(np.abs(A) ** 2, N)[lags]
+    table = _weight_expansion(Family.LM, d)
+    m, q = np.nonzero(table)
+    C, beta = table[m, q], (d - 1.0) * (m + 1) - q
+    p, s = (v.ravel() for v in np.meshgrid(np.arange(C.size), np.arange(C.size)))
+    e = beta[p] + beta[s]
+    L = Ka - lags + 0.5
+    tail = np.zeros(lags.size)
+    for j, (t, w) in enumerate(zip(*_power_weight_rules(-2.0 - e))):
+        tail += C[p[j]] * C[s[j]] * L ** (e[j] + 1.0) * ((1.0 + np.outer(lags / L, t)) ** beta[s[j]] @ w)
+
+    def psi(x, order):
+        return (C * beta**order * x[:, np.newaxis] ** (beta - order)).sum(axis=1)
+
+    tail += (psi(L, 1) * psi(L + lags, 0) + psi(L, 0) * psi(L + lags, 1)) / 24.0
+    return r + tail
+
+
+@pytest.mark.parametrize("maxlag, tol", [(999, 1e-13), (2048, 1e-13), (4096, 1e-13), (19_999, 1e-12)])
+@pytest.mark.parametrize("d", [0.011, 0.25, 1.0 / 3.0, 0.489])
+def test_lm_autocovariance_matches_full_inversion_and_per_lag_tail(d, maxlag, tol):
+    # the head-plus-expansion weights, the shorter sum and the tail
+    # interpolated from Chebyshev lags against the full inversion with a
+    # per-lag tail: within 7e-15 of r(0) when written
+    lags = np.unique(np.r_[np.linspace(0, maxlag, 97).round(), 1, maxlag - 1]).astype(int)
+    r = autocovariance(spec_of("lm", d), maxlag)
+    ref = _lm_autocovariance_reference(d, maxlag, lags)
+    assert np.max(np.abs(r[lags] - ref)) <= tol * r[0]
+
+
+@pytest.mark.parametrize("d", [0.011, 0.25, 0.489])
+def test_lm_tail_matches_hurwitz_zeta_sums(d):
+    # at lag 0 the tail is sum_(p,q) C_p C_q zeta(-beta_p - beta_q, Ka + 1)
+    # exactly (Hurwitz zeta); the midpoint rule alone was 4e-11 of r(0) off
+    mp = pytest.importorskip("mpmath")
+    table = _weight_expansion(Family.LM, d)
+    beta = _exponents(table, d)
+    sums = {}
+    for cp, bp in zip(table.ravel(), beta.ravel()):
+        for cq, bq in zip(table.ravel(), beta.ravel()):
+            sums[bp + bq] = sums.get(bp + bq, 0.0) + cp * cq
+    r0 = autocovariance(spec_of("lm", d), 0)[0]
+    for Ka in (1_000, 12_000):
+        with mp.workdps(20):
+            exact = float(sum(c * mp.zeta(-e, Ka + 1) for e, c in sums.items() if c != 0.0))
+        assert abs(_tail_corrections(table, d, Ka, 0)[0] - exact) <= 1e-13 * r0, Ka
+
+
 def test_lm_autocovariance_where_rgamma_has_a_pole():
-    # at d = 1/3 the third term of the weights' expansion holds
-    # 1/Gamma(3 (d - 1) + 1) = 1/Gamma(-1) = 0, at d = 1/2 the second one
+    # at d = 1/3 every term with an integer exponent gamma = m + q - (m+1) d
+    # holds 1/Gamma(-gamma) = 0, the third leading one among them; at d = 1/2
+    # the second leading one
     from scipy.special import gamma, rgamma, zeta
 
     d, maxlag = 1.0 / 3.0, 2048
     r = autocovariance(spec_of("lm", d), maxlag)
     assert np.all(np.isfinite(r))
-    # the same expansion from scipy's special functions
+    table = _weight_expansion(Family.LM, d)
+    g = -1.0 - _exponents(table, d)
+    integer = np.abs(g - np.round(g)) < 1e-9
+    assert integer.sum() >= 3 and np.all(table[integer] == 0.0)
+    # the three leading terms from scipy's special functions
     a, b = gamma(1.0 - d) / (d * zeta(1.0 + d)), zeta(d) / zeta(1.0 + d)
     j = np.arange(1.0, 4.0)
     C_ref = (-b) ** (j - 1.0) / a**j * rgamma(j * (d - 1.0) + 1.0)
-    C, beta = _weight_expansion(Family.LM, d)
+    C = table[:3, 0]
     assert C[2] == 0.0 and np.all(np.abs(C - C_ref) <= 1e-13 * np.abs(C_ref))
-    tail = _tail_corrections(C, beta, maxlag + 10_000, maxlag)
-    ref = r - tail + _tail_corrections(C_ref, beta, maxlag + 10_000, maxlag)
+    swapped = table.copy()
+    swapped[:3, 0] = C_ref
+    Ka = maxlag + 1_000
+    ref = r - _tail_corrections(table, d, Ka, maxlag) + _tail_corrections(swapped, d, Ka, maxlag)
     assert np.all(np.abs(r - ref) <= 1e-13 * r[0])
-    assert _weight_expansion(Family.LM, 0.5)[0][1] == 0.0
+    assert _weight_expansion(Family.LM, 0.5)[1, 0] == 0.0
 
 
 def test_fast_length_is_scipy_next_fast_len():
