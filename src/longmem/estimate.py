@@ -34,11 +34,11 @@ yields each d and is sent its contrast, so that fit_batch can run the
 searches of many series in lockstep; fit_qmle and fit_whittle are its
 one-series case.  Each evaluation gives a complete point (contrast, gamma,
 sigma2_hat, objective); a fit is the point at its minimizer.  For FARIMA10
-the contrast at each d is minimized over alpha first: in closed form for
-the QMLE, whose S_n is quadratic in alpha, and for Whittle by alpha
-searches in lockstep, each evaluation O(1) given two frequency sums at d.
+the contrast at each d is minimized over alpha first, with no search: in
+closed form for the QMLE, whose S_n is quadratic in alpha, and for Whittle
+at the root of the slope of an O(1) contrast given two frequency sums at d.
 A fit's iterations count its search over d; it converged when that search
-succeeded at a finite contrast.
+succeeded at a finite contrast, with 0 < sigma2_hat < inf.
 """
 
 from __future__ import annotations
@@ -366,7 +366,10 @@ def _fit_bounds(
 ) -> tuple[tuple[float, float], ...]:
     if bounds is None:
         bounds = default_gamma_bounds(family)
-    return tuple((lo + _BOUND_MARGIN, hi - _BOUND_MARGIN) for lo, hi in bounds)
+    shrunk = tuple((lo + _BOUND_MARGIN, hi - _BOUND_MARGIN) for lo, hi in bounds)
+    if not all(-math.inf < lo <= hi < math.inf for lo, hi in shrunk):
+        raise ValueError(f"search bounds must be finite with lower <= upper, got {shrunk}")
+    return shrunk
 
 
 def _pinned(gamma: tuple[float, ...], bounds) -> bool:
@@ -382,8 +385,9 @@ def _step_sign(v: float) -> float:
 
 def _bounded_search(bounds, xatol: float = _XATOL_1D, maxiter: int = 500):
     """Brent's (1973) bounded golden-section/parabolic minimization of a
-    scalar function on [lo, hi], as a generator: it yields each x to
-    evaluate, is sent f(x), and returns (x, fun, nfev, success).
+    scalar function on [lo, hi], finite with lo <= hi (_fit_bounds checks
+    them), as a generator: it yields each x to evaluate, is sent f(x), and
+    returns (x, fun, nfev, success).
 
     A port of scipy.optimize's minimize_scalar(method="bounded") with its
     arithmetic step for step, so it makes the same evaluations and gives the
@@ -392,10 +396,6 @@ def _bounded_search(bounds, xatol: float = _XATOL_1D, maxiter: int = 500):
     loop, so many searches can share one batched evaluation per step.
     """
     a, b = (float(v) for v in bounds)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"search bounds must be finite, got {bounds}")
-    if a > b:
-        raise ValueError(f"the lower search bound exceeds the upper one: {bounds}")
     sqrt_eps = math.sqrt(2.2e-16)
     golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
     fulc = a + golden_mean * (b - a)
@@ -476,38 +476,6 @@ def _evaluate(contrasts, pending: list[int], xs: list[float]) -> list:
     return [_evaluate(contrasts, [i], [x])[0] for i, x in zip(pending, xs)]
 
 
-def _lockstep(contrasts, count: int, bounds) -> list:
-    """One bounded search per row, all run in lockstep: each step sends the
-    pending x of every unfinished row to one contrasts call.
-
-    contrasts returns, per row, a point (value, gamma, sigma2_hat, objective):
-    the contrast, its parameter, whose alpha minimizes a FARIMA10 contrast at
-    that d, and the fit's sigma2_hat and objective there.  Each row ends as
-    (its point at x_hat, the search's nfev, its success), or as the exception
-    its evaluation raised.  fit_batch's searches over d and the FARIMA10
-    Whittle searches over alpha run here."""
-    searches = [_bounded_search(bounds) for _ in range(count)]
-    pending = {i: next(search) for i, search in enumerate(searches)}
-    seen: list[dict] = [{} for _ in range(count)]
-    ended: list = [None] * count
-    while pending:
-        at = list(pending)
-        xs = list(pending.values())
-        for i, x, out in zip(at, xs, _evaluate(contrasts, at, xs)):
-            if isinstance(out, Exception):
-                ended[i] = out
-                del pending[i]
-                continue
-            seen[i][x] = out
-            try:
-                pending[i] = searches[i].send(out[0])
-            except StopIteration as stop:
-                x, _, nfev, success = stop.value
-                ended[i] = (seen[i][x], nfev, success)
-                del pending[i]
-    return ended
-
-
 def _check_length(n: int, minimum: int, name: str) -> None:
     if n < minimum:
         raise ValueError(f"need n >= {minimum} observations, got {n}")
@@ -554,14 +522,52 @@ class _QmleRows:
         return s, gamma, s / w.size, s
 
 
+def _alpha_hat(n: int, rho: float, bounds) -> float:
+    """The minimizer over bounds of the alpha part of the FARIMA10 Whittle
+    contrast, m log1p(alpha (alpha - 2 rho)) - log((1 - alpha^n) / (1 -
+    alpha)) + [n even] log1p(alpha), unimodal in alpha: a bound whose slope
+    points outwards, else the slope's root by Newton's method, bisecting the
+    sign-change bracket when a step would leave it or not halve the last one
+    (Numerical Recipes' rtsafe).  A step below 1e-12 ends it before the
+    bracket test, since rounding at the root can flip the slope's sign."""
+    m, even = (n - 1) // 2, 1 - n % 2
+
+    def slope(a: float) -> tuple[float, float]:
+        p = a ** (n - 2)
+        an, q, e = p * a * a, 1.0 + a * (a - 2.0 * rho), even / (1.0 + a)
+        d1 = 2.0 * m * (a - rho) / q + n * p * a / (1.0 - an) - 1.0 / (1.0 - a) + e
+        d2 = 2.0 * m * (q - 2.0 * (a - rho) ** 2) / (q * q) - 1.0 / (1.0 - a) ** 2 - e * e
+        return d1, d2 + n * p * (n - 1 + an) / (1.0 - an) ** 2
+
+    lo, hi = bounds
+    if slope(lo)[0] >= 0.0:
+        return lo
+    if slope(hi)[0] <= 0.0:
+        return hi
+    alpha, last = min(max(rho, lo), hi), hi - lo
+    while True:
+        d1, d2 = slope(alpha)
+        if d1 == 0.0 or math.isnan(d1):  # NaN from a NaN rho
+            return alpha
+        lo, hi = (alpha, hi) if d1 < 0.0 else (lo, alpha)
+        step = d1 / d2 if d2 else math.inf
+        if abs(step) <= 1e-12:
+            return min(max(alpha - step, lo), hi)
+        if lo < alpha - step < hi and abs(step) <= 0.5 * abs(last):
+            last, alpha = step, alpha - step
+        else:
+            last, alpha = alpha - 0.5 * (lo + hi), 0.5 * (lo + hi)
+            if alpha in (lo, hi):
+                return alpha
+
+
 class _WhittleRows:
     """Whittle points of equal-length series, one row at a time: the
     profiled m log sigma2_hat(gamma) + sum_j log h_gamma(lambda_j), with
     sigma2_hat(gamma) = (2 pi / m) sum_j I(lambda_j) / h_gamma(lambda_j).
     At sigma2_hat, sum_j I_j / f_j = m, so the objective sum_j log f_j +
     I_j / f_j is the contrast plus offset = m (1 - log 2 pi).  FARIMA10 rows
-    search alpha in lockstep on two sums of the FARIMA00 shape at d
-    (_profile_alpha); no FARIMA10 shape is evaluated."""
+    take alpha's exact minimizer from two FARIMA00-shape sums at d."""
 
     def __init__(self, series, family: Family, bounds):
         n = series[0].n
@@ -574,50 +580,32 @@ class _WhittleRows:
         if family is Family.FARIMA10:
             self.cos = np.cos(fourier_frequencies(n))
 
-    def _profiled(self, pgram: np.ndarray, d: float) -> tuple:
-        """The point of self.shape at (d,), and I / h."""
-        h = self.shape((d,))
-        w = pgram / h
-        m = w.size
-        sigma2 = (2.0 * math.pi / m) * float(w.sum())
-        value = m * math.log(sigma2) + float(np.log(h).sum())
-        return (value, (d,), sigma2, value + self.offset), w
-
     def contrasts(self, pending: list[int], ds: list[float]) -> list[tuple]:
-        pgrams = [self.pgrams[i] for i in pending]
-        if any(p is None for p in pgrams):
+        return [self._profile(self.pgrams[i], d) for i, d in zip(pending, ds)]
+
+    def _profile(self, pgram: np.ndarray, d: float, alpha: float | None = None) -> tuple:
+        """The point at d; for FARIMA10 at (d, alpha), alpha profiled if None,
+        O(1) given A = sum_j I_j / h00_j and B = sum_j I_j cos(lambda_j) / h00_j:
+        sum_j I_j / h_j = A (1 + alpha^2 - 2 alpha B / A), and 1 - alpha w over
+        the n-th roots of unity w multiplies to 1 - alpha^n, so sum_j log |1 -
+        alpha e^(i lambda_j)|^2 = log((1 - alpha^n) / (1 - alpha)) - [n even] log1p(alpha)."""
+        if pgram is None:
             raise ValueError(
                 "the periodogram is zero at every Fourier frequency (a constant series?), "
                 "so the Whittle contrast is undefined"
             )
+        h = self.shape((d,))
+        w, m = pgram / h, pgram.size
+        sigma2 = (2.0 * math.pi / m) * float(w.sum())
+        value = m * math.log(sigma2) + float(np.log(h).sum())
         if self.family is not Family.FARIMA10:
-            return [self._profiled(p, d)[0] for p, d in zip(pgrams, ds)]
-        sums = [self._sums(p, d) for p, d in zip(pgrams, ds)]
-        profile = lambda at, xs: [self._profile_alpha(*sums[k], x) for k, x in zip(at, xs)]
-        # a failed alpha search leaves the point at its d a NaN value
-        return [
-            e if isinstance(e, Exception) else e[0] if e[2] else (math.nan, *e[0][1:])
-            for e in _lockstep(profile, len(sums), self.bounds[1])
-        ]
-
-    def _sums(self, pgram: np.ndarray, d: float) -> tuple:
-        """(the FARIMA00 contrast and sigma2_hat at d, B / A, d), with
-        A = sum_j I_j / h00_j, B = sum_j I_j cos(lambda_j) / h00_j and h00
-        the FARIMA00 shape."""
-        (v0, _, s0, _), w = self._profiled(pgram, d)
-        return v0, s0, float(w @ self.cos) / float(w.sum()), d
-
-    def _profile_alpha(self, v0: float, s0: float, rho: float, d: float, alpha: float) -> tuple:
-        """The point at (d, alpha), O(1): h = h00 / |1 - alpha e^(i lambda)|^2
-        gives sum_j I_j / h_j = A (1 + alpha^2 - 2 alpha rho); 1 - alpha w over
-        the n-th roots of unity w multiplies to 1 - alpha^n, so sum_j log |1 -
-        alpha e^(i lambda_j)|^2 = log((1 - alpha^n) / (1 - alpha)) - [n even]
-        log(1 + alpha)."""
-        n = self.n
+            return value, (d,), sigma2, value + self.offset
+        n, rho = self.n, float(w @ self.cos) / float(w.sum())
+        alpha = _alpha_hat(n, rho, self.bounds[1]) if alpha is None else alpha
         roots = math.log1p(-(alpha**n)) - math.log1p(-alpha) - (1 - n % 2) * math.log1p(alpha)
         ratio = alpha * (alpha - 2.0 * rho)
-        value = v0 + (n - 1) // 2 * math.log1p(ratio) - roots
-        return value, (d, alpha), s0 * (1.0 + ratio), value + self.offset
+        value = value + m * math.log1p(ratio) - roots
+        return value, (d, alpha), sigma2 * (1.0 + ratio), value + self.offset
 
 
 _ROWS = {"qmle": _QmleRows, "whittle": _WhittleRows}
@@ -634,9 +622,9 @@ def fit_batch(
     the one fit_qmle or fit_whittle would return, or the exception its fit
     raised; a fit that raises leaves the others as they would be alone.
 
-    A QMLE step evaluates the pending d of every unfinished series with one
-    2-D AR-weight build, one rfft and one irfft; Whittle rows are evaluated
-    one by one in the same loop.  Every FitResult is built here, from the
+    The one driver of _bounded_search: each step sends the pending d of
+    every unfinished series to one contrasts call, one 2-D AR-weight build,
+    rfft and irfft for QMLE, row by row for Whittle.  Every FitResult is the
     point its search ended at; nothing is evaluated after the search."""
     family = Family(family)
     if estimator not in _ROWS:
@@ -646,27 +634,39 @@ def fit_batch(
         raise ValueError("fit_batch needs series of one length")
     if not series:
         return []
-    opt_bounds = _fit_bounds(family, bounds)
     try:
+        opt_bounds = _fit_bounds(family, bounds)
         rows = _ROWS[estimator](series, family, opt_bounds)
-        searches = _lockstep(rows.contrasts, len(series), opt_bounds[0])
+        searches = [_bounded_search(opt_bounds[0]) for _ in series]
+        pending = {i: next(search) for i, search in enumerate(searches)}
     except Exception as exc:  # a check every row shares failed
         return [exc] * len(series)
 
-    def result(point: tuple, nfev: int, success: bool) -> FitResult:
-        value, gamma_hat, sigma2_hat, objective = point
-        return FitResult(
-            estimator=estimator,
-            family=family,
-            gamma_hat=gamma_hat,
-            sigma2_hat=sigma2_hat,
-            objective=objective,
-            iterations=nfev,
-            converged=success and math.isfinite(value),
-            boundary_pinned=_pinned(gamma_hat, opt_bounds),
-        )
-
-    return [out if isinstance(out, Exception) else result(*out) for out in searches]
+    seen, fits = [{} for _ in series], [None] * len(series)
+    while pending:
+        at, ds = list(pending), list(pending.values())
+        for i, d, point in zip(at, ds, _evaluate(rows.contrasts, at, ds)):
+            if not isinstance(point, Exception):  # an exception ends its row
+                seen[i][d] = point
+                try:
+                    pending[i] = searches[i].send(point[0])
+                    continue
+                except StopIteration as stop:
+                    d_hat, _, nfev, success = stop.value
+                    value, gamma_hat, sigma2_hat, objective = seen[i][d_hat]
+                    point = FitResult(
+                        estimator=estimator,
+                        family=family,
+                        gamma_hat=gamma_hat,
+                        sigma2_hat=sigma2_hat,
+                        objective=objective,
+                        iterations=nfev,
+                        converged=success and math.isfinite(value) and 0 < sigma2_hat < math.inf,
+                        boundary_pinned=_pinned(gamma_hat, opt_bounds),
+                    )
+            fits[i] = point
+            del pending[i]
+    return fits
 
 
 def _fit_one(estimator, series, family, bounds) -> FitResult:
@@ -762,8 +762,11 @@ def asymptotic_covariance(spec: ModelSpec, mu4: float = 3.0) -> AsymptoticInfo:
     FARIMA10: M = [[pi^2/6, -log(1-alpha)/alpha], [., 1/(1-alpha^2)]], whose
     off-diagonal tends to 1 as alpha -> 0.  LM: an 80-node Gauss-Laguerre
     rule, within 3e-13 relative of mpmath for d in [0.011, 0.489].
-    var_sigma2 = sigma2^2 (mu4 - 1).
+    var_sigma2 = sigma2^2 (mu4 - 1).  ValueError: mu4 below 1, which no
+    distribution has, or not finite.
     """
+    if not 1.0 <= mu4 < math.inf:
+        raise ValueError(f"mu4 must be finite and at least 1, got {mu4}")
     if spec.family is Family.LM:
         M = np.array([[_lm_information(spec.d)]])
     elif spec.family is Family.FARIMA00:

@@ -6,8 +6,9 @@ stream derived from (base_seed, c, n_index, r), so the report depends on
 the config alone.  Replications run in one process (a thread pool ran slower
 on two cores), in blocks of at most _BLOCK per (cell, n), fewer when n is so
 large that a block's arrays would pass _BLOCK_BYTES: a block's series are
-drawn one by one and fitted by estimate.fit_batch, whose searches over d run
-in lockstep and share one QMLE transform per step.  Each row equals the
+drawn one by one, less the cell's mu (the mean is known), and fitted by
+estimate.fit_batch, whose searches over d run in lockstep and share one QMLE
+transform per step.  Each row equals the
 standalone fit of its series bit for bit.  Failed fits (an exception,
 non-convergence or a boundary-pinned gamma) are excluded from the aggregates
 and counted; an exception is logged with its cell, n and replication.
@@ -29,7 +30,7 @@ import numpy as np
 
 from .estimate import ESTIMATORS, fit_batch
 from .models import GAMMA_NAMES, Family, ModelSpec
-from .simulate import GENERATORS, GenConfig, derive_seed, simulate
+from .simulate import GENERATORS, GenConfig, Series, derive_seed, simulate
 
 logger = logging.getLogger(__name__)
 
@@ -227,7 +228,7 @@ def _run_replications(config, spec, n, n_index, cell_index, estimates):
     rows = min(_BLOCK, max(1, _BLOCK_BYTES // (80 * n)))
     for start in range(0, R, rows):
         block = range(start, min(start + rows, R))
-        series = [
+        draws = (
             simulate(
                 spec,
                 n,
@@ -237,7 +238,8 @@ def _run_replications(config, spec, n, n_index, cell_index, estimates):
                 ),
             )
             for r in block
-        ]
+        )
+        series = [Series(values=x.values - spec.mu) for x in draws]
         for est in config.estimators:
             fits = fit_batch(series, config.family, est, bounds=spec.gamma_bounds)
             for r, fit in zip(block, fits):

@@ -413,9 +413,35 @@ def test_cli_analyze_whittle_agrees(trended_series_csv, tmp_path):
     assert abs(d_q - d_w) < 0.05
 
 
+def test_cli_analyze_keeps_whittle_fits_that_have_no_stderr(tmp_path, capsys):
+    # on a ramp the residual mu4 of both Whittle fits is below 1, so neither
+    # has standard errors; both fits stay, converged, with stderr null
+    path = tmp_path / "ramp.csv"
+    series_to_csv(Series(values=np.arange(1.0, 301.0)), path)
+    out = tmp_path / "ramp.json"
+    assert run_cli("analyze", str(path), "--estimator", "whittle", "--out", str(out)) == 0
+    fits = json.loads(out.read_text())["fits"]
+    assert [(f["family"], f["converged"], f["stderr"]) for f in fits] == [
+        ("farima00", True, None),
+        ("lm", True, None),
+    ]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("warning: no standard errors") and "mu4" in line for line in err)
+
+
 # ---------------------------------------------------------------------------
 # validation and exit codes
 # ---------------------------------------------------------------------------
+
+
+def test_cli_fit_of_an_all_zero_series_exits_2(tmp_path, capsys):
+    # sigma2_hat = 0 is no fit of the model: not converged
+    path = tmp_path / "zero.csv"
+    path.write_text("0.0\n" * 300)
+    assert run_cli("fit", str(path)) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["sigma2_hat"] == 0.0 and not out["converged"]
 
 
 def test_cli_exit_codes(tmp_path):

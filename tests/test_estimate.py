@@ -220,24 +220,40 @@ def test_fit_qmle_farima10_two_dimensional():
     assert abs(fit.gamma_hat[1] - 0.5) < 0.15
 
 
-@pytest.mark.parametrize(
-    "fit,failing", [(fit_qmle, "d"), (fit_whittle, "d"), (fit_whittle, "alpha")]
-)
-def test_fit_farima10_converged_follows_scalar_search(monkeypatch, fit, failing):
+@pytest.mark.parametrize("fit", [fit_qmle, fit_whittle], ids=["fit_qmle-d", "fit_whittle-d"])
+def test_fit_farima10_converged_follows_scalar_search(monkeypatch, fit):
     real = estimate._bounded_search
-    d_bounds, alpha_bounds = estimate._fit_bounds("farima10", None)
 
     def failing_search(bounds, **kwargs):
-        # the same search, reported as failed on the chosen coordinate only
+        # the same search over d, reported as failed; alpha is profiled
+        # without a search, so there is no other one to fail
         x, fun, nfev, success = yield from real(bounds, **kwargs)
-        if tuple(bounds) == {"d": d_bounds, "alpha": alpha_bounds}[failing]:
-            success = False
-        return x, fun, nfev, success
+        return x, fun, nfev, False
 
     series = sim("farima10", (0.2, 0.5), 1.0, 500, seed=53)
     assert fit(series, "farima10").converged
     monkeypatch.setattr(estimate, "_bounded_search", failing_search)
     assert not fit(series, "farima10").converged
+
+
+@pytest.mark.parametrize("fit", [fit_qmle, fit_whittle])
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        ((0.5, 0.2), (-0.9, 0.9)),
+        ((0.01, math.inf), (-0.9, 0.9)),
+        ((0.01, 0.49), (0.5, -0.5)),
+        ((0.01, 0.49), (0.3, 0.3015)),
+        ((0.01, 0.49), (math.nan, 0.5)),
+    ],
+    ids=["d-inverted", "d-infinite", "alpha-inverted", "alpha-inside-margin", "alpha-nan"],
+)
+def test_fit_rejects_bounds_that_are_no_interval(fit, bounds):
+    # every coordinate's bounds, shrunk by the margin, must be a finite
+    # interval; alpha's are checked although no search runs over them
+    series = sim("farima10", (0.2, 0.5), 1.0, 300, seed=3)
+    with pytest.raises(ValueError, match="search bounds must be finite with lower <= upper"):
+        fit(series, "farima10", bounds=bounds)
 
 
 def _drive(fun, bounds, **options):
@@ -348,12 +364,34 @@ def test_whittle_farima10_alpha_contrast_is_the_public_one(n):
     bounds = estimate._fit_bounds("farima10", None)
     rows = estimate._WhittleRows([series], Family.FARIMA10, bounds)
     for d in (0.011, 0.25, 0.489):
-        sums = rows._sums(rows.pgrams[0], d)
         for alpha in (-0.9899, -0.989, -0.5, 0.0, 0.3, 0.989, 0.9899):
-            value, gamma, sigma2, objective = rows._profile_alpha(*sums, alpha)
+            value, gamma, sigma2, objective = rows._profile(rows.pgrams[0], d, alpha)
             assert gamma == (d, alpha)
             public = pytest.approx(_whittle_public(series, (d, alpha)), rel=1e-12, abs=0.0)
             assert (value, sigma2, objective) == public, (d, alpha)
+
+
+def _alpha_contrast(n, rho, alpha):
+    # the alpha part of the FARIMA10 Whittle contrast at d, with alpha^n kept
+    roots = np.log1p(-(alpha**n)) - np.log1p(-alpha) - (1 - n % 2) * np.log1p(alpha)
+    return (n - 1) // 2 * np.log1p(alpha * (alpha - 2.0 * rho)) - roots
+
+
+def test_whittle_alpha_profile_reaches_the_grid_minimum():
+    # the profiled alpha is the minimizer over the bounds: no point of a
+    # dense grid has a lower contrast, within 1e-12 relative, for small and
+    # large n of both parities, rho across (-1, 1), and wide, narrow,
+    # one-sided and margined bounds; n = 4 at rho = 0 is flat in alpha
+    rhos = np.linspace(-0.999, 0.999, 379)
+    for n in [*range(4, 12), 30, 31, 1000, 1001]:
+        for lo, hi in [(-0.989, 0.989), (-0.5, 0.5), (0.2, 0.9), (-0.9899, -0.1)]:
+            grid = np.linspace(lo, hi, 4001)
+            minima = _alpha_contrast(n, rhos[:, np.newaxis], grid).min(axis=1)
+            for rho, low in zip(rhos, minima):
+                alpha = estimate._alpha_hat(n, float(rho), (lo, hi))
+                assert lo <= alpha <= hi
+                excess = _alpha_contrast(n, rho, alpha) - low
+                assert excess <= 1e-12 * max(1.0, abs(low)), (n, rho, lo, hi, alpha)
 
 
 @pytest.mark.parametrize("n", [1000, 1001])
@@ -430,6 +468,16 @@ def test_fit_qmle_farima10_all_zero_series():
     assert fit.gamma_hat[1] == 0.0
 
 
+@pytest.mark.parametrize("scale", [0.0, 1e-200], ids=["zero", "underflow"])
+@pytest.mark.parametrize("family", ["farima00", "farima10", "lm"])
+def test_fit_qmle_with_zero_sigma2_is_not_converged(family, scale):
+    # S_n is 0 on an all-zero series and underflows to 0 at 1e-200: a zero
+    # sigma2_hat fits no model of the family, whose sigma2 is positive
+    fit = fit_qmle(Series(values=scale * white_noise(300, seed=5)), family)
+    assert fit.sigma2_hat == 0.0
+    assert not fit.converged
+
+
 def test_fit_qmle_stderr():
     series = sim("farima00", (0.2,), 4.0, 2000, seed=59)
     fit = fit_qmle(series, "farima00")
@@ -444,6 +492,17 @@ def test_standard_errors_out_of_domain_logs_reason(caplog):
         assert standard_errors("farima00", (0.6,), 1.0, 1000) is None
     assert len(caplog.records) == 1
     assert "d must lie strictly in (0, 1/2), got 0.6" in caplog.records[0].getMessage()
+
+
+@pytest.mark.parametrize("mu4", [0.5, math.nan, math.inf])
+def test_asymptotic_covariance_rejects_an_impossible_mu4(caplog, mu4):
+    # E e^4 >= (E e^2)^2, so mu4 < 1 is no distribution's; standard_errors
+    # logs the reason and gives None rather than raising
+    with pytest.raises(ValueError, match="mu4"):
+        asymptotic_covariance(spec_of("farima00", 0.2), mu4=mu4)
+    with caplog.at_level("WARNING", logger="longmem.estimate"):
+        assert standard_errors("farima00", (0.2,), 1.0, 1000, mu4) is None
+    assert "mu4 must be finite and at least 1" in caplog.records[0].getMessage()
 
 
 def test_gradient_matches_finite_difference():

@@ -156,6 +156,29 @@ def test_fit_that_raises_is_excluded_alone(monkeypatch, caplog, estimator):
     assert record.exc_info[0] is RuntimeError
 
 
+def test_run_mc_fits_the_series_less_its_known_mean():
+    # a cell's mu is the known mean, subtracted before the fit: the fits at
+    # mu = 5 are those at mu = 0 up to the rounding of x - mu
+    reports = [
+        run_mc(
+            MCConfig(
+                family="farima00",
+                cells=(MCCell(gamma=(0.2,), sigma2=1.0, mu=mu),),
+                n_grid=(1000,),
+                replications=50,
+                estimators=("qmle",),
+                base_seed=11,
+            )
+        )
+        for mu in (0.0, 5.0)
+    ]
+    at0, at5 = (r.lookup(0, 1000, "qmle", "d") for r in reports)
+    assert at0.replications_used == 50
+    assert (at5.replications_used, at5.failures) == (at0.replications_used, at0.failures)
+    d0, d5 = (r.raw[(0, 1000, "qmle")][:, 0] for r in reports)
+    np.testing.assert_allclose(d5, d0, rtol=0.0, atol=1e-6)
+
+
 def test_failures_are_counted_and_excluded():
     # true d sits 0.002 under the bound, so many fits pin at the upper edge
     config = MCConfig(
