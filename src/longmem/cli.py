@@ -46,6 +46,8 @@ def detrend_linear(series: Series) -> tuple[Series, float, float]:
 
 
 def _residual_mu4(series: Series, fit: FitResult) -> float:
+    if not 0.0 < fit.sigma2_hat < np.inf:  # no residual to standardize
+        return np.nan
     resid = series.values - predictors(series.values, fit.family, fit.gamma_hat)
     std = resid / np.sqrt(fit.sigma2_hat)
     square = std * std  # numpy has no fast path for ** 4: it calls pow per element
@@ -147,6 +149,10 @@ def cmd_fit(args) -> int:
         return _fail(str(exc))
     if args.stderr:
         fit.stderr = standard_errors(family, fit.gamma_hat, fit.sigma2_hat, series.n)
+    if not fit.converged:
+        bad = not 0.0 < fit.sigma2_hat < np.inf
+        cause = f"sigma2_hat is {fit.sigma2_hat!r}" if bad else "the search over d did not converge"
+        print(f"warning: the fit did not converge: {cause}", file=sys.stderr)
     _emit(fit.as_dict(), args.out)
     return 0 if fit.converged else 2
 

@@ -55,13 +55,14 @@ from numpy.fft import irfft, rfft
 
 from .models import (
     Family,
+    GAMMA_NAMES,
     ModelSpec,
-    ar_coeffs_batch,
     ar_coeffs_gamma,
     autocovariance,
     dar_coeffs_gamma,
     default_gamma_bounds,
     fast_length,
+    gamma_domain,
 )
 from .simulate import Series
 from .specfun import ZETA_SERIES_TERMS, beta_fn, digamma, gauss_rule, riemann_zeta, zeta_series
@@ -308,9 +309,7 @@ def _lm_transfer(
     (Wood 1992), with log_lam = log(lam) and powers = _lm_powers(lam), whose
     real halves make the sum over k two real products.  Its k = 0 term is the
     normalizing zeta(s) and cancels exactly; against mpmath it is within
-    1e-15 relative for d in [0.011, 0.489]."""
-    if not 0.0 < d < 1.0:
-        raise ValueError(f"LM transfer function requires d in (0, 1), got {d}")
+    1e-15 relative for d in [0.011, 0.489]; callers have checked d in (0, 1)."""
     z = zeta_series(d)
     return -(_lm_head(d, log_lam) + _lm_series(powers, z)) / z[0]
 
@@ -364,11 +363,19 @@ def spectral_density(spec: ModelSpec, lam):
 def _fit_bounds(
     family: Family, bounds: tuple[tuple[float, float], ...] | None
 ) -> tuple[tuple[float, float], ...]:
+    """The bounds shrunk by _BOUND_MARGIN, checked to lie in gamma_domain,
+    so that no evaluation leaves it (nor can a bound be infinite or NaN)."""
     if bounds is None:
         bounds = default_gamma_bounds(family)
     shrunk = tuple((lo + _BOUND_MARGIN, hi - _BOUND_MARGIN) for lo, hi in bounds)
-    if not all(-math.inf < lo <= hi < math.inf for lo, hi in shrunk):
-        raise ValueError(f"search bounds must be finite with lower <= upper, got {shrunk}")
+    domain = gamma_domain(family)
+    if len(shrunk) != len(domain):
+        raise ValueError(f"{Family(family).value} needs {len(domain)} search bounds, got {shrunk}")
+    for name, (lo, hi), (a, b) in zip(GAMMA_NAMES[family], shrunk, domain):
+        if not a < lo <= hi < b:
+            raise ValueError(
+                f"search bounds must be finite with lower <= upper, inside {name} in ({a:g}, {b:g}); got {shrunk}"
+            )
     return shrunk
 
 
@@ -502,7 +509,7 @@ class _QmleRows:
         at = slice(None) if len(pending) == len(self.values) else pending
         # FARIMA10 starts from the FARIMA00 residual w and profiles alpha
         fam = Family.FARIMA00 if self.family is Family.FARIMA10 else self.family
-        u = ar_coeffs_batch(fam, ds, self.values.shape[1] - 1)
+        u = ar_coeffs_gamma(fam, (np.array(ds),), self.values.shape[1] - 1)
         resid = self.values[at] - _predict(self.X[at], u, self.N)
         return [self._profile(w, d) for w, d in zip(resid, ds)]
 
@@ -591,8 +598,8 @@ class _WhittleRows:
         alpha e^(i lambda_j)|^2 = log((1 - alpha^n) / (1 - alpha)) - [n even] log1p(alpha)."""
         if pgram is None:
             raise ValueError(
-                "the periodogram is zero at every Fourier frequency (a constant series?), "
-                "so the Whittle contrast is undefined"
+                "the periodogram is zero at every Fourier frequency: the series is "
+                "constant, or its squares underflow, so the Whittle contrast is undefined"
             )
         h = self.shape((d,))
         w, m = pgram / h, pgram.size
@@ -619,8 +626,10 @@ def fit_batch(
 ) -> list:
     """Fit every series of a sequence of equal-length series, with their
     searches over d run in lockstep.  Entry i is the FitResult of series i,
-    the one fit_qmle or fit_whittle would return, or the exception its fit
-    raised; a fit that raises leaves the others as they would be alone.
+    the one fit_qmle or fit_whittle would return, or the exception its own
+    evaluation raised, which leaves the others as they would be alone.  A
+    check all series share raises before any evaluation: the estimator, the
+    lengths, and bounds whose search box leaves models.gamma_domain.
 
     The one driver of _bounded_search: each step sends the pending d of
     every unfinished series to one contrasts call, one 2-D AR-weight build,
@@ -632,15 +641,12 @@ def fit_batch(
     series = list(series)
     if len({s.n for s in series}) > 1:
         raise ValueError("fit_batch needs series of one length")
+    opt_bounds = _fit_bounds(family, bounds)
     if not series:
         return []
-    try:
-        opt_bounds = _fit_bounds(family, bounds)
-        rows = _ROWS[estimator](series, family, opt_bounds)
-        searches = [_bounded_search(opt_bounds[0]) for _ in series]
-        pending = {i: next(search) for i, search in enumerate(searches)}
-    except Exception as exc:  # a check every row shares failed
-        return [exc] * len(series)
+    rows = _ROWS[estimator](series, family, opt_bounds)
+    searches = [_bounded_search(opt_bounds[0]) for _ in series]
+    pending = {i: next(search) for i, search in enumerate(searches)}
 
     seen, fits = [{} for _ in series], [None] * len(series)
     while pending:

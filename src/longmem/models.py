@@ -11,6 +11,10 @@ weights a_0, a_1, ... have a_0 = 1 and the innovation standard deviation
 sigma enters only through simulation and the likelihood.  The autoregressive
 weights u_1, u_2, ... satisfy sum(u_k) = 1 and never depend on sigma2.
 
+gamma_domain, wider than ModelSpec's, is where the engines are defined:
+every engine call checks its gamma, and every fit its search box, against
+it.  ar_coeffs_gamma is the one AR-weight engine, for one d or many.
+
 All coefficient engines run in O(K) by multiplicative recursion or closed
 form, except the FARIMA10 moving-average weights, psi times the geometric
 series alpha^k, one O(K log K) power-series product by real FFT.  The LM
@@ -46,12 +50,12 @@ __all__ = [
     "ma_coeffs",
     "ar_coeffs",
     "ar_coeffs_gamma",
-    "ar_coeffs_batch",
     "dar_coeffs",
     "dar_coeffs_gamma",
     "invert_series",
     "autocovariance",
     "default_gamma_bounds",
+    "gamma_domain",
     "fast_length",
     "GAMMA_NAMES",
 ]
@@ -63,20 +67,27 @@ class Family(str, Enum):
     LM = "lm"
 
 
-GAMMA_NAMES = {
-    Family.FARIMA00: ("d",),
-    Family.FARIMA10: ("d", "alpha"),
-    Family.LM: ("d",),
+# each family's gamma coordinates, with the open interval of each where the
+# AR weights exist (see gamma_domain)
+_GAMMA_DOMAIN = {
+    Family.FARIMA00: {"d": (-0.5, 1.0)},
+    Family.FARIMA10: {"d": (-0.5, 1.0), "alpha": (-1.0, 1.0)},
+    Family.LM: {"d": (0.0, 1.0)},
 }
-
-_DEFAULT_D_BOUNDS = (0.01, 0.49)
-_DEFAULT_ALPHA_BOUNDS = (-0.99, 0.99)
+GAMMA_NAMES = {family: tuple(coords) for family, coords in _GAMMA_DOMAIN.items()}
+_DEFAULT_BOUNDS = {"d": (0.01, 0.49), "alpha": (-0.99, 0.99)}
 
 
 def default_gamma_bounds(family: Family) -> tuple[tuple[float, float], ...]:
-    if Family(family) is Family.FARIMA10:
-        return (_DEFAULT_D_BOUNDS, _DEFAULT_ALPHA_BOUNDS)
-    return (_DEFAULT_D_BOUNDS,)
+    return tuple(_DEFAULT_BOUNDS[name] for name in GAMMA_NAMES[Family(family)])
+
+
+def gamma_domain(family: Family) -> tuple[tuple[float, float], ...]:
+    """The coefficient domain, the open interval of each gamma coordinate
+    where the AR weights exist: fractional differencing needs d in (-1/2, 1),
+    the LM weights k^(-1-d) / zeta(1+d) need d in (0, 1), and 1 - alpha z
+    alpha in (-1, 1).  Fits may try d <= 0, which ModelSpec rejects."""
+    return tuple(_GAMMA_DOMAIN[Family(family)].values())
 
 
 @dataclass(frozen=True)
@@ -98,11 +109,10 @@ class ModelSpec:
         object.__setattr__(self, "family", family)
         gamma = tuple(float(g) for g in np.atleast_1d(self.gamma))
         object.__setattr__(self, "gamma", gamma)
-        if len(gamma) != len(GAMMA_NAMES[family]):
-            raise ValueError(
-                f"{family.value} expects gamma of length {len(GAMMA_NAMES[family])}, "
-                f"got {len(gamma)}"
-            )
+        if gamma and not 0.0 < gamma[0] < 0.5:
+            raise ValueError(f"memory parameter d must lie strictly in (0, 1/2), got {gamma[0]}")
+        # gamma's length, and past d the model's domain is the coefficient one
+        _checked(family, gamma, 0)
         bounds = self.gamma_bounds
         if bounds is None:
             bounds = default_gamma_bounds(family)
@@ -110,14 +120,6 @@ class ModelSpec:
         object.__setattr__(self, "gamma_bounds", bounds)
         if len(bounds) != len(gamma):
             raise ValueError("gamma_bounds must match gamma length")
-
-        d = gamma[0]
-        if not 0.0 < d < 0.5:
-            raise ValueError(f"memory parameter d must lie strictly in (0, 1/2), got {d}")
-        if family is Family.FARIMA10:
-            alpha = gamma[1]
-            if not -1.0 < alpha < 1.0:
-                raise ValueError(f"AR parameter alpha must lie strictly in (-1, 1), got {alpha}")
         if not 0.0 < self.sigma2 < math.inf:
             raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2}")
         if not math.isfinite(self.mu):
@@ -157,64 +159,45 @@ def _frac_diff_coeffs(d, K: int) -> np.ndarray:
     return pi
 
 
-def _one_parameter_ar(family: Family, d, K: int) -> np.ndarray:
-    """u_1..u_K of FARIMA00 or LM; d is a scalar, or a column of values with
-    one row of weights each."""
-    if family is Family.LM:
-        k = np.arange(1.0, K + 1)
-        return k ** (-1.0 - d) / zeta_series(d, 0)
-    return -_frac_diff_coeffs(d, K)[..., 1:]
-
-
-def _checked(family, gamma, K: int) -> tuple[Family, tuple[float, ...], int]:
-    family, gamma, K = Family(family), tuple(float(g) for g in gamma), int(K)
-    if len(gamma) != len(GAMMA_NAMES[family]):
-        raise ValueError(f"{family.value} expects gamma of length {len(GAMMA_NAMES[family])}")
+def _checked(family, gamma, K: int, rows: bool = False) -> tuple[Family, tuple, int]:
+    """(family, gamma as floats, K) once gamma lies in gamma_domain; with
+    rows, gamma[0] may be a 1-D array of d, returned as a column."""
+    family, K = Family(family), int(K)
+    domain = _GAMMA_DOMAIN[family]
+    if len(gamma) != len(domain):
+        raise ValueError(f"{family.value} expects gamma of length {len(domain)}, got {len(gamma)}")
     if K < 0:
         raise ValueError(f"K must be >= 0, got {K}")
-    # relaxed domain: estimation may evaluate candidates outside (0, 1/2);
-    # fractional-differencing weights are valid on (-1/2, 1), the LM weights
-    # need 1 + d > 1
-    d = gamma[0]
-    if family is Family.LM:
-        if not 0.0 < d < 1.0:
-            raise ValueError(f"LM coefficients require d in (0, 1), got {d}")
-    elif not -0.5 < d < 1.0:
-        raise ValueError(f"coefficient engines require d in (-1/2, 1), got {d}")
-    if family is Family.FARIMA10 and not -1.0 < gamma[1] < 1.0:
-        raise ValueError(f"alpha must lie in (-1, 1), got {gamma[1]}")
+    # isinstance, not np.ndim, keeps the one-d call cheap
+    if rows and isinstance(gamma[0], np.ndarray):
+        d = np.asarray(gamma[0], dtype=float)
+        if d.ndim != 1 or d.size == 0:
+            raise ValueError(f"d must be a number or a nonempty 1-D array, got shape {d.shape}")
+        # the domain is an interval, so the extremes of d decide (NaN fails both)
+        for end in (d.min(), d.max()):
+            _checked(family, (end, *gamma[1:]), K)
+        return family, (d[:, np.newaxis], *map(float, gamma[1:])), K
+    gamma = tuple(map(float, gamma))
+    for (name, (a, b)), g in zip(domain.items(), gamma):
+        if not a < g < b:
+            raise ValueError(f"{family.value} coefficients require {name} in ({a:g}, {b:g}), got {g}")
     return family, gamma, K
 
 
 def ar_coeffs_gamma(family: Family, gamma, K: int) -> np.ndarray:
-    """AR(inf) weights u_1..u_K at any gamma the estimators may try (K >= 0).
-
-    The domain is relaxed against ModelSpec: d in (-1/2, 1) for the FARIMA
-    families and (0, 1) for LM, so fits may evaluate iterates outside
-    (0, 1/2).  ar_coeffs is the ModelSpec form.
-    """
-    family, gamma, K = _checked(family, gamma, K)
+    """AR(inf) weights u_1..u_K at any gamma of gamma_domain (K >= 0);
+    ar_coeffs is the ModelSpec form.  A 1-D array of d gives one row per d,
+    shape (len(d), K), built in one array operation, and each row equals its
+    one-d call bit for bit."""
+    family, gamma, K = _checked(family, gamma, K, rows=True)
     d = gamma[0]
-    if family is not Family.FARIMA10:
-        return _readonly(_one_parameter_ar(family, d, K))
-    # FARIMA10: AR polynomial (1 - z)^d (1 - alpha z)
+    if family is Family.LM:
+        k = np.arange(1.0, K + 1)
+        return _readonly(k ** (-1.0 - d) / zeta_series(d, 0))
     pi = _frac_diff_coeffs(d, K)
-    pi[1:] -= gamma[1] * pi[:-1]
-    return _readonly(-pi[1:])
-
-
-def ar_coeffs_batch(family: Family, ds, K: int) -> np.ndarray:
-    """AR(inf) weights of a one-parameter family (FARIMA00 or LM) at each d
-    of ds, shape (len(ds), K): row j holds the values of
-    ar_coeffs_gamma(family, (ds[j],), K), built in one array operation."""
-    family = Family(family)
-    if family is Family.FARIMA10:
-        raise ValueError("ar_coeffs_batch takes a one-parameter family, not farima10")
-    ds = np.asarray(ds, dtype=float)
-    # the domain of d is an interval, so its extremes decide (NaN fails both)
-    for d in {ds.min(), ds.max()}:
-        _checked(family, (d,), K)
-    return _readonly(_one_parameter_ar(family, ds[:, np.newaxis], K))
+    if family is Family.FARIMA10:  # AR polynomial (1 - z)^d (1 - alpha z)
+        pi[..., 1:] -= gamma[1] * pi[..., :-1]
+    return _readonly(-pi[..., 1:])
 
 
 # LM MA weights a_0.._LM_HEAD come from series inversion, later ones from
@@ -255,7 +238,7 @@ def ar_coeffs(spec: ModelSpec, K: int) -> np.ndarray:
 
 def dar_coeffs_gamma(family: Family, gamma, K: int) -> np.ndarray:
     """Derivatives of the AR weights in gamma, shape (len(gamma), K), at any
-    gamma in the relaxed domain of ar_coeffs_gamma (K >= 0).
+    gamma of gamma_domain (K >= 0).
 
     Every family is exact.  LM:
     du_n/dd = -n^(-1-d) zeta(1+d)^(-2) (zeta(1+d) log n + zeta'(1+d)).

@@ -253,7 +253,9 @@ def _run_replications(config, spec, n, n_index, cell_index, estimates):
 
 
 def run_mc(config: MCConfig, workers: int = 1) -> MCReport:
-    """Run the campaign; ``workers`` is accepted for compatibility and ignored."""
+    """Run the campaign; ``workers`` is accepted for compatibility and ignored.
+    A check that fit_batch makes of a whole block, such as bounds outside
+    models.gamma_domain or Whittle at n < 4, stops it with its ValueError."""
     coord_names = GAMMA_NAMES[config.family] + ("sigma2",)
     p = len(coord_names)
     R = config.replications

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import longmem
+import longmem.estimate as estimate
 from longmem.cli import _residual_mu4, build_parser, detrend_linear, main
 from longmem.estimate import ESTIMATORS, blue_mean, fit_qmle, predictors, standard_errors
 from longmem.models import ModelSpec
@@ -436,12 +437,77 @@ def test_cli_analyze_keeps_whittle_fits_that_have_no_stderr(tmp_path, capsys):
 
 
 def test_cli_fit_of_an_all_zero_series_exits_2(tmp_path, capsys):
-    # sigma2_hat = 0 is no fit of the model: not converged
+    # sigma2_hat = 0 is no fit of the model: not converged, and said so
     path = tmp_path / "zero.csv"
     path.write_text("0.0\n" * 300)
     assert run_cli("fit", str(path)) == 2
-    out = json.loads(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
     assert out["sigma2_hat"] == 0.0 and not out["converged"]
+    assert captured.err == "warning: the fit did not converge: sigma2_hat is 0.0\n"
+    # Whittle has no contrast at all there, and says why
+    assert run_cli("fit", str(path), "--estimator", "whittle") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the periodogram is zero") and "constant" in err
+
+
+def test_cli_fit_whose_search_fails_says_so(tmp_path, capsys, monkeypatch):
+    real = estimate._bounded_search
+
+    def failing_search(bounds, **kwargs):
+        x, fun, nfev, success = yield from real(bounds, **kwargs)
+        return x, fun, nfev, False
+
+    monkeypatch.setattr(estimate, "_bounded_search", failing_search)
+    path = tmp_path / "x.csv"
+    series_to_csv(simulate(ModelSpec(family="farima00", gamma=(0.2,)), 300, GenConfig(seed=1)), path)
+    for est in ESTIMATORS:
+        assert run_cli("fit", str(path), "--estimator", est) == 2
+        err = capsys.readouterr().err
+        assert err == "warning: the fit did not converge: the search over d did not converge\n"
+
+
+def test_cli_fit_whittle_of_an_underflowing_series_names_the_cause(tmp_path, capsys):
+    # the squares of a 1e-200-scaled series underflow: the periodogram is
+    # zero although the series is not constant
+    path = tmp_path / "tiny.csv"
+    series_to_csv(Series(values=1e-200 * white_noise(300, seed=4)), path)
+    assert run_cli("fit", str(path), "--estimator", "whittle") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the periodogram is zero") and "squares underflow" in err
+
+
+def test_cli_analyze_of_an_all_zero_series_prints_no_traceback(tmp_path):
+    # the residual mu4 is not computed at sigma2_hat = 0, so no 0/0 reaches
+    # numpy, even with RuntimeWarning as an error
+    path = tmp_path / "zero.csv"
+    path.write_text("0.0\n" * 300)
+    cmd = [sys.executable, "-W", "error::RuntimeWarning", "-m", "longmem.cli", "analyze", str(path)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=_subprocess_env(), timeout=300)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert lines and all(line.startswith(("warning:", "error:")) for line in lines), lines
+    assert lines[-1].startswith("error: BLUE mean under the best fit failed")
+
+
+def test_cli_mc_whose_bounds_leave_the_domain_exits_1(tmp_path, capsys):
+    config = tmp_path / "mc-lm-domain.json"
+    config.write_text(
+        json.dumps(
+            {
+                "family": "lm",
+                "cells": [{"gamma": [0.2], "sigma2": 1.0, "gamma_bounds": [[-0.25, 0.75]]}],
+                "n_grid": [300],
+                "replications": 4,
+                "estimators": ["qmle", "whittle"],
+                "base_seed": 5,
+            }
+        )
+    )
+    assert run_cli("mc", "--config", str(config)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Monte Carlo campaign failed: ") and "d in (0, 1)" in err
 
 
 def test_cli_exit_codes(tmp_path):

@@ -256,6 +256,35 @@ def test_fit_rejects_bounds_that_are_no_interval(fit, bounds):
         fit(series, "farima10", bounds=bounds)
 
 
+@pytest.mark.parametrize("fit", [fit_qmle, fit_whittle])
+def test_fit_rejects_alpha_bounds_outside_the_coefficient_domain(fit):
+    # on a cumulated FARIMA10 series alpha-hat would leave (-1, 1): the box
+    # is rejected before any evaluation
+    x = sim("farima10", (0.2, 0.5), 1.0, 500, seed=3)
+    series = Series(values=np.cumsum(x.values))
+    with pytest.raises(ValueError, match="alpha in \\(-1, 1\\)"):
+        fit(series, "farima10", bounds=((0.01, 0.49), (-3.0, 3.0)))
+
+
+@pytest.mark.parametrize(
+    "estimator, n, bounds, message",
+    [
+        ("qmle", 300, ((-0.25, 0.75),), "d in \\(0, 1\\)"),
+        ("whittle", 300, ((-0.25, 0.75),), "d in \\(0, 1\\)"),
+        ("whittle", 3, None, "need n >= 4"),
+    ],
+    ids=["qmle-bounds", "whittle-bounds", "whittle-n3"],
+)
+def test_fit_batch_raises_for_a_check_every_row_shares(monkeypatch, estimator, n, bounds, message):
+    # a shared check fails the whole call before any evaluation, rather
+    # than being returned once per row
+    rows = {"qmle": estimate._QmleRows, "whittle": estimate._WhittleRows}[estimator]
+    monkeypatch.setattr(rows, "contrasts", lambda *args: pytest.fail("evaluated"))
+    series = [Series(values=white_noise(n, seed=s)) for s in (1, 2)]
+    with pytest.raises(ValueError, match=message):
+        fit_batch(series, "lm", estimator, bounds=bounds)
+
+
 def _drive(fun, bounds, **options):
     # one port of the bounded search, driven serially
     search = estimate._bounded_search(bounds, **options)

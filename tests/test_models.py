@@ -157,12 +157,33 @@ def test_spec_wrappers_equal_the_gamma_entry_points(family, gamma):
     spec = spec_of(family, *gamma)
     assert np.array_equal(ar_coeffs(spec, 300), ar_coeffs_gamma(family, gamma, 300))
     assert np.array_equal(dar_coeffs(spec, 300), dar_coeffs_gamma(family, gamma, 300))
+    # a 1-D array of d gives one row per d, each its one-d call bit for bit
+    ds = np.array([gamma[0], 0.011, 0.489, 0.9] + ([-0.4] if family != "lm" else []))
+    rows = ar_coeffs_gamma(family, (ds, *gamma[1:]), 300)
+    assert rows.shape == (ds.size, 300) and not rows.flags.writeable
+    for d, row in zip(ds, rows):
+        assert np.array_equal(row, ar_coeffs_gamma(family, (d, *gamma[1:]), 300))
 
 
 def test_gamma_entry_points_keep_the_relaxed_domain():
     # fits may try d < 0, which ModelSpec rejects
     assert ar_coeffs_gamma("farima10", (-0.2, 0.5), 10).shape == (10,)
     assert dar_coeffs_gamma("farima00", (-0.2,), 10).shape == (1, 10)
+    assert models.gamma_domain("farima10") == ((-0.5, 1.0), (-1.0, 1.0))
+    assert models.gamma_domain("lm") == ((0.0, 1.0),)
+    for ds, message in [
+        (np.array([0.2, 0.0]), "d in \\(0, 1\\), got 0.0"),
+        (np.array([0.2, np.nan]), "d in \\(0, 1\\), got nan"),
+        (np.array([[0.2]]), "1-D"),
+        (np.array([]), "1-D"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            ar_coeffs_gamma("lm", (ds,), 10)
+    with pytest.raises(ValueError, match="alpha in \\(-1, 1\\), got 1.0"):
+        ar_coeffs_gamma("farima10", (np.array([0.2, 0.3]), 1.0), 10)
+    # only the AR-weight engine takes many d at once
+    with pytest.raises(TypeError):
+        dar_coeffs_gamma("lm", (np.array([0.2, 0.3]),), 10)
     bad_args = [
         ("lm", (-0.2,), 10),
         ("farima00", (1.0,), 10),
