@@ -1,6 +1,9 @@
 """Command-line surface: simulate, fit, mc, blue, analyze.
 
-Exit codes: 0 success, 1 I/O or validation error, 2 fit failure.
+Exit codes: 0 success, 1 I/O or validation error, 2 fit failure.  main is
+the one place that turns a library failure, a ValueError or RuntimeError,
+into one `error: <message>` line on stderr and exit code 1; a command keeps
+only the failures that carry their own prefix or exit code.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .models import Family, ModelSpec
 from .montecarlo import MCConfig, emit_table, run_mc
 from .simulate import (
     GENERATORS,
-    EmbeddingError,
     GenConfig,
     Series,
     series_from_csv,
@@ -58,7 +60,7 @@ def _load_series(path: str) -> Series:
     try:
         return series_from_csv(path)
     except (OSError, ValueError) as exc:
-        raise SystemExit(_fail(f"cannot read series from {path}: {exc}"))
+        raise ValueError(f"cannot read series from {path}: {exc}") from exc
 
 
 def _fail(message: str, code: int = 1) -> int:
@@ -81,11 +83,11 @@ class _WarningLines(logging.Handler):
 
 
 def _write(path: str, write) -> None:
-    """Run write(path); an unwritable path ends the command with exit code 1."""
+    """Run write(path); an unwritable path raises ValueError naming it."""
     try:
         write(path)
     except OSError as exc:
-        raise SystemExit(_fail(f"cannot write {path}: {exc}"))
+        raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
 def _stdout(text: str) -> None:
@@ -120,12 +122,9 @@ def _spec_from_args(args) -> ModelSpec:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        spec = _spec_from_args(args)
-        cfg = GenConfig(generator=args.generator, seed=args.seed, K=args.K)
-        series = simulate(spec, args.n, cfg)
-    except ValueError as exc:
-        return _fail(str(exc))
+    spec = _spec_from_args(args)
+    cfg = GenConfig(generator=args.generator, seed=args.seed, K=args.K)
+    series = simulate(spec, args.n, cfg)
     if args.out:
         _write(args.out, lambda path: series_to_csv(series, path))
     else:
@@ -137,16 +136,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     series = _load_series(args.input)
-    try:
-        family = Family(args.family)
-        if args.detrend:
-            series, _, _ = detrend_linear(series)
-    except ValueError as exc:
-        return _fail(str(exc))
-    try:
-        fit = ESTIMATORS[args.estimator](series, family)
-    except ValueError as exc:
-        return _fail(str(exc))
+    family = Family(args.family)
+    if args.detrend:
+        series, _, _ = detrend_linear(series)
+    fit = ESTIMATORS[args.estimator](series, family)
     if args.stderr:
         fit.stderr = standard_errors(family, fit.gamma_hat, fit.sigma2_hat, series.n)
     if not fit.converged:
@@ -168,26 +161,21 @@ def cmd_mc(args) -> int:
         _write(args.out, lambda path: open(path, "a").close())
     try:
         report = run_mc(config)
-    except (EmbeddingError, ValueError) as exc:
+    except (ValueError, RuntimeError) as exc:
         if created:  # leave no empty report behind
             Path(args.out).unlink(missing_ok=True)
         return _fail(f"Monte Carlo campaign failed: {exc}")
-    if args.out:
-        _write(args.out, report.to_json)
+    if args.out or not args.table:
+        _emit(report.as_dict(), args.out)
     if args.table:
         _stdout(emit_table(report, format=args.table) + "\n")
-    elif not args.out:
-        _emit(report.as_dict(), None)
     return 0
 
 
 def cmd_blue(args) -> int:
     series = _load_series(args.input)
-    try:
-        spec = _spec_from_args(args)
-        mu = blue_mean(series, spec)
-    except (ValueError, RuntimeError) as exc:
-        return _fail(str(exc))
+    spec = _spec_from_args(args)
+    mu = blue_mean(series, spec)
     _emit({"mu_blue": mu, "n": series.n, "family": spec.family.value}, args.out)
     return 0
 
@@ -196,13 +184,10 @@ def cmd_analyze(args) -> int:
     series = _load_series(args.input)
     trend = None  # [intercept, slope] of the OLS detrend
     work = series
-    try:
-        families = [Family(f) for f in (args.family or ["farima00", "lm"])]
-        if args.detrend:
-            work, intercept, slope = detrend_linear(series)
-            trend = [intercept, slope]
-    except ValueError as exc:
-        return _fail(str(exc))
+    families = [Family(f) for f in (args.family or ["farima00", "lm"])]
+    if args.detrend:
+        work, intercept, slope = detrend_linear(series)
+        trend = [intercept, slope]
     estimators = args.estimator or ["qmle"]
     fits: list[FitResult] = []
     mu4: list[float] = []  # mu4[i] belongs to fits[i]
@@ -330,12 +315,11 @@ def main(argv=None) -> int:
             code = args.func(args)
             sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
             return code
-        except SystemExit as exc:
-            code = exc.code
-            return code if isinstance(code, int) else 1
         except BrokenPipeError:
             _silence_stdout()
             return _fail("stdout was closed before the output was written")
+        except (ValueError, RuntimeError) as exc:
+            return _fail(str(exc))
         finally:
             log.removeHandler(handler)
 

@@ -79,6 +79,7 @@ __all__ = [
     "qmle_objective",
     "qmle_gradient",
     "quasi_loglik",
+    "check_fit",
     "fit_batch",
     "fit_qmle",
     "standard_errors",
@@ -180,17 +181,10 @@ def _predict(X: np.ndarray, u: np.ndarray, N: int) -> np.ndarray:
     return irfft(np.multiply(X, rfft(padded, axis=-1)), N, axis=-1)[..., :n]
 
 
-def _prediction_filter(values: np.ndarray):
-    """u -> (sum_{i=1}^{t-1} u_i X_{t-i})_{t=1..n} for weights u_1..u_(n-1),
-    with rfft(X, N) taken once."""
-    N = _transform_length(values.size)
-    X = rfft(values, N)
-    return lambda u: _predict(X, u, N)
-
-
 def predictors(values: np.ndarray, family: Family, gamma: tuple[float, ...]) -> np.ndarray:
     """All truncated one-step predictors mhat_1..mhat_n (mhat_1 = 0)."""
-    return _prediction_filter(values)(ar_coeffs_gamma(family, gamma, values.size - 1))
+    N = _transform_length(values.size)
+    return _predict(rfft(values, N), ar_coeffs_gamma(family, gamma, values.size - 1), N)
 
 
 def truncated_predictor(series: Series, family: Family, gamma, t: int) -> float:
@@ -218,10 +212,10 @@ def qmle_gradient(series: Series, family: Family, gamma) -> np.ndarray:
     values = series.values
     n = values.size
     gamma = tuple(gamma)
-    predict = _prediction_filter(values)
-    resid = values - predict(ar_coeffs_gamma(family, gamma, n - 1))
-    du = dar_coeffs_gamma(family, gamma, n - 1)
-    return np.array([-2.0 * np.dot(predict(row), resid) for row in du])
+    N = _transform_length(n)
+    X = rfft(values, N)
+    resid = values - _predict(X, ar_coeffs_gamma(family, gamma, n - 1), N)
+    return -2.0 * (_predict(X, dar_coeffs_gamma(family, gamma, n - 1), N) @ resid)
 
 
 def quasi_loglik(series: Series, family: Family, gamma, sigma2: float) -> float:
@@ -360,25 +354,6 @@ def spectral_density(spec: ModelSpec, lam):
 # ---------------------------------------------------------------------------
 
 
-def _fit_bounds(
-    family: Family, bounds: tuple[tuple[float, float], ...] | None
-) -> tuple[tuple[float, float], ...]:
-    """The bounds shrunk by _BOUND_MARGIN, checked to lie in gamma_domain,
-    so that no evaluation leaves it (nor can a bound be infinite or NaN)."""
-    if bounds is None:
-        bounds = default_gamma_bounds(family)
-    shrunk = tuple((lo + _BOUND_MARGIN, hi - _BOUND_MARGIN) for lo, hi in bounds)
-    domain = gamma_domain(family)
-    if len(shrunk) != len(domain):
-        raise ValueError(f"{Family(family).value} needs {len(domain)} search bounds, got {shrunk}")
-    for name, (lo, hi), (a, b) in zip(GAMMA_NAMES[family], shrunk, domain):
-        if not a < lo <= hi < b:
-            raise ValueError(
-                f"search bounds must be finite with lower <= upper, inside {name} in ({a:g}, {b:g}); got {shrunk}"
-            )
-    return shrunk
-
-
 def _pinned(gamma: tuple[float, ...], bounds) -> bool:
     return any(
         g - lo < _PINNED_TOL or hi - g < _PINNED_TOL for g, (lo, hi) in zip(gamma, bounds)
@@ -392,7 +367,7 @@ def _step_sign(v: float) -> float:
 
 def _bounded_search(bounds, xatol: float = _XATOL_1D, maxiter: int = 500):
     """Brent's (1973) bounded golden-section/parabolic minimization of a
-    scalar function on [lo, hi], finite with lo <= hi (_fit_bounds checks
+    scalar function on [lo, hi], finite with lo <= hi (check_fit checks
     them), as a generator: it yields each x to evaluate, is sent f(x), and
     returns (x, fun, nfev, success).
 
@@ -483,13 +458,6 @@ def _evaluate(contrasts, pending: list[int], xs: list[float]) -> list:
     return [_evaluate(contrasts, [i], [x])[0] for i, x in zip(pending, xs)]
 
 
-def _check_length(n: int, minimum: int, name: str) -> None:
-    if n < minimum:
-        raise ValueError(f"need n >= {minimum} observations, got {n}")
-    if n < 30:
-        warnings.warn(f"n={n} is small; {name} asymptotics are unreliable", stacklevel=4)
-
-
 class _QmleRows:
     """QMLE points of equal-length series, for many d at a time.
 
@@ -497,12 +465,12 @@ class _QmleRows:
     every pending d as one 2-D array and makes one rfft and one irfft over
     its rows; FARIMA10 then profiles alpha per row in closed form."""
 
+    name, min_n = "QMLE", 2
+
     def __init__(self, series, family: Family, bounds):
         self.values = np.array([s.values for s in series])
-        n = self.values.shape[1]
-        _check_length(n, 2, "QMLE")
         self.family, self.bounds = family, bounds
-        self.N = _transform_length(n)
+        self.N = _transform_length(self.values.shape[1])
         self.X = rfft(self.values, self.N, axis=1)
 
     def contrasts(self, pending: list[int], ds: list[float]) -> list[tuple]:
@@ -576,9 +544,10 @@ class _WhittleRows:
     I_j / f_j is the contrast plus offset = m (1 - log 2 pi).  FARIMA10 rows
     take alpha's exact minimizer from two FARIMA00-shape sums at d."""
 
+    name, min_n = "Whittle", 4
+
     def __init__(self, series, family: Family, bounds):
         n = series[0].n
-        _check_length(n, 4, "Whittle")
         self.family, self.bounds, self.n = family, bounds, n
         self.offset = (n - 1) // 2 * (1.0 - math.log(2.0 * math.pi))
         # a zero periodogram fails its row at its first evaluation
@@ -618,6 +587,38 @@ class _WhittleRows:
 _ROWS = {"qmle": _QmleRows, "whittle": _WhittleRows}
 
 
+def check_fit(
+    family: Family,
+    estimator: str,
+    n: int,
+    bounds: tuple[tuple[float, float], ...] | None = None,
+) -> tuple[tuple[float, float], ...]:
+    """The checks every fit of n observations shares, made before any
+    evaluation: a known estimator, n at least that estimator's minimum (2
+    for QMLE, 4 for Whittle), and bounds (default_gamma_bounds if None)
+    that, shrunk by _BOUND_MARGIN, lie in models.gamma_domain, so that no
+    evaluation leaves it (nor can a bound be infinite or NaN).  Returns the
+    shrunk bounds, the search box; raises ValueError otherwise."""
+    family = Family(family)
+    if estimator not in _ROWS:
+        raise ValueError(f"unknown estimator {estimator!r}")
+    minimum = _ROWS[estimator].min_n
+    if n < minimum:
+        raise ValueError(f"{estimator}: need n >= {minimum} observations, got {n}")
+    if bounds is None:
+        bounds = default_gamma_bounds(family)
+    shrunk = tuple((lo + _BOUND_MARGIN, hi - _BOUND_MARGIN) for lo, hi in bounds)
+    domain = gamma_domain(family)
+    if len(shrunk) != len(domain):
+        raise ValueError(f"{family.value} needs {len(domain)} search bounds, got {shrunk}")
+    for name, (lo, hi), (a, b) in zip(GAMMA_NAMES[family], shrunk, domain):
+        if not a < lo <= hi < b:
+            raise ValueError(
+                f"search bounds must be finite with lower <= upper, inside {name} in ({a:g}, {b:g}); got {shrunk}"
+            )
+    return shrunk
+
+
 def fit_batch(
     series,
     family: Family,
@@ -627,24 +628,26 @@ def fit_batch(
     """Fit every series of a sequence of equal-length series, with their
     searches over d run in lockstep.  Entry i is the FitResult of series i,
     the one fit_qmle or fit_whittle would return, or the exception its own
-    evaluation raised, which leaves the others as they would be alone.  A
-    check all series share raises before any evaluation: the estimator, the
-    lengths, and bounds whose search box leaves models.gamma_domain.
+    evaluation raised, which leaves the others as they would be alone; an
+    empty sequence gives [].  A check all series share raises before any
+    evaluation: mixed lengths, and those of check_fit.
 
     The one driver of _bounded_search: each step sends the pending d of
     every unfinished series to one contrasts call, one 2-D AR-weight build,
     rfft and irfft for QMLE, row by row for Whittle.  Every FitResult is the
     point its search ended at; nothing is evaluated after the search."""
     family = Family(family)
-    if estimator not in _ROWS:
-        raise ValueError(f"unknown estimator {estimator!r}")
     series = list(series)
     if len({s.n for s in series}) > 1:
         raise ValueError("fit_batch needs series of one length")
-    opt_bounds = _fit_bounds(family, bounds)
     if not series:
         return []
-    rows = _ROWS[estimator](series, family, opt_bounds)
+    n = series[0].n
+    opt_bounds = check_fit(family, estimator, n, bounds)
+    rows = _ROWS[estimator]
+    if n < 30:
+        warnings.warn(f"n={n} is small; {rows.name} asymptotics are unreliable", stacklevel=2)
+    rows = rows(series, family, opt_bounds)
     searches = [_bounded_search(opt_bounds[0]) for _ in series]
     pending = {i: next(search) for i, search in enumerate(searches)}
 

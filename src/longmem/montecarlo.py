@@ -15,7 +15,9 @@ and counted; an exception is logged with its cell, n and replication.
 
 ``MCConfig`` and ``MCCell`` alone define a campaign: a JSON config uses
 their field names, defaults and normalisation, so it equals the same config
-built in Python.
+built in Python.  ``MCConfig`` makes estimate.check_fit's checks for every
+cell and estimator at the smallest n, the ones fit_batch makes of a block:
+a campaign that cannot run is a bad config and fails before its first draw.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from io import StringIO
 
 import numpy as np
 
-from .estimate import ESTIMATORS, fit_batch
+from .estimate import check_fit, fit_batch
 from .models import GAMMA_NAMES, Family, ModelSpec
 from .simulate import GENERATORS, GenConfig, Series, derive_seed, simulate
 
@@ -134,15 +136,14 @@ class MCConfig:
             raise ValueError("replications must be >= 1")
         if self.base_seed < 0:
             raise ValueError(f"base_seed: must be >= 0, got {self.base_seed}")
-        if any(n < 2 for n in self.n_grid):
-            raise ValueError(f"every n in n_grid must be >= 2, got {self.n_grid}")
         if self.generator not in GENERATORS:
             raise ValueError(f"unknown generator {self.generator!r}")
-        for est in self.estimators:
-            if est not in ESTIMATORS:
-                raise ValueError(f"unknown estimator {est!r}")
+        # every cell eagerly, and the checks fit_batch makes of a block, so
+        # that a campaign that cannot run fails before its first draw
         for cell in self.cells:
-            cell.spec(self.family)  # validate every cell eagerly
+            cell.spec(self.family)
+            for est in self.estimators:
+                check_fit(self.family, est, min(self.n_grid), cell.gamma_bounds)
 
     @classmethod
     def from_json(cls, path) -> "MCConfig":
@@ -214,8 +215,9 @@ class MCReport:
         }
 
     def to_json(self, path) -> None:
+        """Write as_dict() as strict JSON, the text `longmem mc` prints."""
         with open(path, "w") as fh:
-            json.dump(self.as_dict(), fh, indent=1, allow_nan=False)
+            fh.write(json.dumps(self.as_dict(), indent=2, allow_nan=False) + "\n")
 
 
 def _null_nan(value):
@@ -254,8 +256,9 @@ def _run_replications(config, spec, n, n_index, cell_index, estimates):
 
 def run_mc(config: MCConfig, workers: int = 1) -> MCReport:
     """Run the campaign; ``workers`` is accepted for compatibility and ignored.
-    A check that fit_batch makes of a whole block, such as bounds outside
-    models.gamma_domain or Whittle at n < 4, stops it with its ValueError."""
+    The checks fit_batch makes of a whole block, such as bounds outside
+    models.gamma_domain or Whittle at n < 4, were made by MCConfig, so none
+    of them stops a campaign part way."""
     coord_names = GAMMA_NAMES[config.family] + ("sigma2",)
     p = len(coord_names)
     R = config.replications

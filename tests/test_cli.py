@@ -18,6 +18,7 @@ import longmem.estimate as estimate
 from longmem.cli import _residual_mu4, build_parser, detrend_linear, main
 from longmem.estimate import ESTIMATORS, blue_mean, fit_qmle, predictors, standard_errors
 from longmem.models import ModelSpec
+from longmem.montecarlo import MCConfig, run_mc
 from longmem.simulate import (
     EmbeddingError,
     GenConfig,
@@ -507,7 +508,7 @@ def test_cli_mc_whose_bounds_leave_the_domain_exits_1(tmp_path, capsys):
     )
     assert run_cli("mc", "--config", str(config)) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: Monte Carlo campaign failed: ") and "d in (0, 1)" in err
+    assert err.startswith("error: bad MC config: ") and "d in (0, 1)" in err
 
 
 def test_cli_exit_codes(tmp_path):
@@ -526,6 +527,35 @@ def test_cli_exit_codes(tmp_path):
     assert run_cli("analyze", str(good), "--family", "nosuch") == 1
     assert run_cli("simulate", "--n", "100", "--d", "0.7") == 1
     assert run_cli("simulate", "--n", "100", "--d", "0.2", "--sigma2", "-1") == 1
+
+
+@pytest.mark.parametrize("exc", [RuntimeError, ValueError], ids=["runtime", "value"])
+@pytest.mark.parametrize(
+    "target, argv",
+    [
+        ("simulate", ["simulate", "--n", "10"]),
+        ("fit", ["fit", "{csv}"]),
+        ("blue_mean", ["blue", "{csv}"]),
+        ("detrend_linear", ["fit", "{csv}", "--detrend"]),
+    ],
+    ids=["simulate", "fit", "blue", "detrend"],
+)
+def test_cli_turns_a_library_failure_into_one_error_line(
+    tmp_path, capsys, monkeypatch, exc, target, argv
+):
+    # main alone turns a ValueError or RuntimeError from the library into
+    # exit 1 and one error: line, whichever command raised it
+    def broken(*args, **kwargs):
+        raise exc(f"{target} broke")
+
+    if target == "fit":
+        monkeypatch.setitem(ESTIMATORS, "qmle", broken)
+    else:
+        monkeypatch.setattr(importlib.import_module("longmem.cli"), target, broken)
+    good = tmp_path / "good.csv"
+    series_to_csv(simulate(ModelSpec(family="farima00", gamma=(0.2,)), 100, GenConfig(seed=1)), good)
+    assert run_cli(*(a.format(csv=good) for a in argv)) == 1
+    assert capsys.readouterr().err == f"error: {target} broke\n"
 
 
 @pytest.mark.parametrize(
@@ -812,6 +842,17 @@ def test_cli_simulate_stdout_equals_out_file(tmp_path, capsysbinary):
     assert run_cli(*args, "--out", str(out)) == 0
     assert run_cli(*args) == 0
     assert capsysbinary.readouterr().out == out.read_bytes()
+
+
+def test_cli_mc_out_file_equals_stdout(tmp_path, capsysbinary):
+    # the --out file, MCReport.to_json and stdout hold the same bytes
+    config = _write_mc_config(tmp_path / "mc.json", replications=4)
+    out, lib = tmp_path / "r.json", tmp_path / "lib.json"
+    assert run_cli("mc", "--config", str(config), "--out", str(out)) == 0
+    assert run_cli("mc", "--config", str(config)) == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
+    run_mc(MCConfig.from_json(config)).to_json(lib)
+    assert lib.read_bytes() == out.read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -390,7 +390,7 @@ def test_whittle_farima10_alpha_contrast_is_the_public_one(n):
     # profiled contrast, sigma2_hat and objective built from spectral_density,
     # up to alpha within 1e-3 of both default bounds and for odd and even n
     series = sim("farima10", (0.3, 0.5), 2.0, n, seed=89)
-    bounds = estimate._fit_bounds("farima10", None)
+    bounds = estimate.check_fit("farima10", "whittle", n)
     rows = estimate._WhittleRows([series], Family.FARIMA10, bounds)
     for d in (0.011, 0.25, 0.489):
         for alpha in (-0.9899, -0.989, -0.5, 0.0, 0.3, 0.989, 0.9899):

@@ -242,26 +242,24 @@ def test_mc_se_and_bias_consistency():
 @pytest.mark.parametrize("estimator", ["qmle", "whittle"])
 def test_campaign_whose_bounds_leave_the_domain_fails_up_front(monkeypatch, estimator):
     # LM weights need d in (0, 1): a cell whose search box reaches below 0
-    # stops the campaign before any fit is evaluated, rather than reporting
-    # a sqrt-MSE over the fits that stayed inside
+    # is a bad config, rejected before any fit is evaluated, rather than
+    # reporting a sqrt-MSE over the fits that stayed inside
     rows = {"qmle": estimate._QmleRows, "whittle": estimate._WhittleRows}[estimator]
     monkeypatch.setattr(rows, "contrasts", lambda *args: pytest.fail("evaluated"))
-    config = MCConfig(
-        family="lm",
-        cells=(MCCell(gamma=(0.2,), sigma2=1.0, gamma_bounds=((-0.25, 0.75),)),),
-        n_grid=(300,),
-        replications=4,
-        estimators=(estimator,),
-        base_seed=5,
-    )
     with pytest.raises(ValueError, match="d in \\(0, 1\\)"):
-        run_mc(config)
+        MCConfig(
+            family="lm",
+            cells=(MCCell(gamma=(0.2,), sigma2=1.0, gamma_bounds=((-0.25, 0.75),)),),
+            n_grid=(300,),
+            replications=4,
+            estimators=(estimator,),
+            base_seed=5,
+        )
 
 
 def test_whittle_campaign_at_n_3_fails_with_the_reason():
-    config = small_config(n_grid=(3,), estimators=("whittle",), replications=2)
     with pytest.raises(ValueError, match="need n >= 4"):
-        run_mc(config)
+        small_config(n_grid=(3,), estimators=("whittle",), replications=2)
 
 
 def test_whittle_estimator_campaign():
