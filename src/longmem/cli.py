@@ -43,7 +43,7 @@ def detrend_linear(series: Series) -> tuple[Series, float, float]:
     t = np.arange(1.0, n + 1)
     slope, intercept = np.polyfit(t, series.values, 1)
     resid = series.values - (intercept + slope * t)
-    resid = resid - resid.mean()  # kill roundoff so the residual mean is exactly 0
+    resid = resid - resid.mean()  # shrinks the fit's roundoff mean, which stays nonzero
     return Series(values=resid), float(intercept), float(slope)
 
 
@@ -168,7 +168,7 @@ def cmd_mc(args) -> int:
     if args.out or not args.table:
         _emit(report.as_dict(), args.out)
     if args.table:
-        _stdout(emit_table(report, format=args.table) + "\n")
+        _stdout(emit_table(report, format=args.table))
     return 0
 
 

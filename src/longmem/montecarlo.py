@@ -8,10 +8,11 @@ on two cores), in blocks of at most _BLOCK per (cell, n), fewer when n is so
 large that a block's arrays would pass _BLOCK_BYTES: a block's series are
 drawn one by one, less the cell's mu (the mean is known), and fitted by
 estimate.fit_batch, whose searches over d run in lockstep and share one QMLE
-transform per step.  Each row equals the
-standalone fit of its series bit for bit.  Failed fits (an exception,
-non-convergence or a boundary-pinned gamma) are excluded from the aggregates
-and counted; an exception is logged with its cell, n and replication.
+transform per step; each row equals the standalone fit of its series bit for
+bit.  A failed fit (an exception, non-convergence or a boundary-pinned gamma)
+leaves a NaN row; an exception is logged with its cell, n and replication.
+MCReport computes each record from the raw tables on request, over the rows
+that hold a fit, in power-of-two units that no finite sigma2 overflows.
 
 ``MCConfig`` and ``MCCell`` alone define a campaign: a JSON config uses
 their field names, defaults and normalisation, so it equals the same config
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import operator
 from dataclasses import dataclass, field
 from io import StringIO
@@ -176,22 +178,57 @@ class MCRecord:
 
 @dataclass
 class MCReport:
+    """A campaign's raw tables; each record is computed from them on request."""
+
     config: MCConfig
-    records: list[MCRecord]
     # raw per-replication estimates: (cell_index, n, estimator) ->
     # array of shape (R, p) with columns gamma..., sigma2; failed rows hold NaN
     raw: dict[tuple[int, int, str], np.ndarray] = field(default_factory=dict)
 
+    @property
+    def records(self) -> list[MCRecord]:
+        coords = GAMMA_NAMES[self.config.family] + ("sigma2",)
+        return [self.lookup(*key, coord) for key in self.raw for coord in coords]
+
     def lookup(self, cell_index: int, n: int, estimator: str, coord: str) -> MCRecord:
-        for rec in self.records:
-            if (
-                rec.cell_index == cell_index
-                and rec.n == n
-                and rec.estimator == estimator
-                and rec.coord == coord
-            ):
-                return rec
-        raise KeyError((cell_index, n, estimator, coord))
+        """sqrt-MSE, bias and MC error of one coordinate over the fits that did
+        not fail, in units of the largest power of two at most the largest
+        error, so its squares neither overflow nor underflow; that is exact."""
+        try:
+            table = self.raw[(cell_index, n, estimator)]
+            j = (GAMMA_NAMES[self.config.family] + ("sigma2",)).index(coord)
+        except (KeyError, ValueError):
+            raise KeyError((cell_index, n, estimator, coord)) from None
+        cell = self.config.cells[cell_index]
+        ok = ~np.isnan(table[:, 0])
+        used = int(ok.sum())
+        sqrt_mse = bias = mc_se = float("nan")
+        if used:
+            err = table[ok, j] - (cell.gamma + (cell.sigma2,))[j]
+            # 2.0 ** e is at most the largest |err|, so it cannot overflow
+            unit = 2.0 ** (math.frexp(np.max(np.abs(err)))[1] - 1)
+            err = err / unit
+            mse = float(np.mean(err**2))
+            sqrt_mse = float(np.sqrt(mse))
+            bias = float(np.mean(err))
+            # delta method: se(sqrt(MSE)) = se(MSE) / (2 sqrt(MSE))
+            se_mse = float(np.std(err**2, ddof=1)) / math.sqrt(used) if used > 1 else float("nan")
+            mc_se = se_mse / (2.0 * sqrt_mse) if sqrt_mse > 0 else float("nan")
+            sqrt_mse, bias, mc_se = sqrt_mse * unit, bias * unit, mc_se * unit
+        return MCRecord(
+            cell_index=cell_index,
+            cell_label=cell.label(),
+            gamma_star=cell.gamma,
+            sigma2_star=cell.sigma2,
+            n=n,
+            estimator=estimator,
+            coord=coord,
+            sqrt_mse=sqrt_mse,
+            bias=bias,
+            mc_se=mc_se,
+            replications_used=used,
+            failures=len(table) - used,
+        )
 
     def as_dict(self) -> dict:
         return {
@@ -225,8 +262,9 @@ def _null_nan(value):
     return None if isinstance(value, float) and np.isnan(value) else value
 
 
-def _run_replications(config, spec, n, n_index, cell_index, estimates):
+def _run_replications(config, spec, n, n_index, cell_index) -> dict[str, np.ndarray]:
     R = config.replications
+    estimates = {est: np.full((R, len(spec.gamma) + 1), np.nan) for est in config.estimators}
     rows = min(_BLOCK, max(1, _BLOCK_BYTES // (80 * n)))
     for start in range(0, R, rows):
         block = range(start, min(start + rows, R))
@@ -252,66 +290,27 @@ def _run_replications(config, spec, n, n_index, cell_index, estimates):
                     )
                 elif fit.converged and not fit.boundary_pinned:
                     estimates[est][r] = list(fit.gamma_hat) + [fit.sigma2_hat]
+    return estimates
 
 
 def run_mc(config: MCConfig, workers: int = 1) -> MCReport:
-    """Run the campaign; ``workers`` is accepted for compatibility and ignored.
-    The checks fit_batch makes of a whole block, such as bounds outside
-    models.gamma_domain or Whittle at n < 4, were made by MCConfig, so none
-    of them stops a campaign part way."""
-    coord_names = GAMMA_NAMES[config.family] + ("sigma2",)
-    p = len(coord_names)
-    R = config.replications
-    records: list[MCRecord] = []
+    """Simulate and fit the campaign into the report's raw tables, from which
+    it computes its records on request; ``workers`` is accepted for
+    compatibility and ignored.  MCConfig made the checks fit_batch makes of a
+    block, such as Whittle at n < 4, so none of them stops a campaign part way."""
     raw: dict[tuple[int, int, str], np.ndarray] = {}
-
     for cell_index, cell in enumerate(config.cells):
         spec = cell.spec(config.family)
-        theta_star = np.array(list(cell.gamma) + [cell.sigma2])
         for n_index, n in enumerate(config.n_grid):
-            estimates = {est: np.full((R, p), np.nan) for est in config.estimators}
-            _run_replications(config, spec, n, n_index, cell_index, estimates)
-
-            for est in config.estimators:
-                table = estimates[est]
-                raw[(cell_index, n, est)] = table
-                ok = ~np.isnan(table[:, 0])
-                used = int(ok.sum())
-                failures = R - used
-                for j, coord in enumerate(coord_names):
-                    if used == 0:
-                        sqrt_mse = bias = mc_se = float("nan")
-                    else:
-                        err = table[ok, j] - theta_star[j]
-                        mse = float(np.mean(err**2))
-                        sqrt_mse = float(np.sqrt(mse))
-                        bias = float(np.mean(err))
-                        # delta method: se(sqrt(MSE)) = se(MSE) / (2 sqrt(MSE))
-                        se_mse = float(np.std(err**2, ddof=1)) / np.sqrt(used) if used > 1 else float("nan")
-                        mc_se = se_mse / (2.0 * sqrt_mse) if sqrt_mse > 0 else float("nan")
-                    records.append(
-                        MCRecord(
-                            cell_index=cell_index,
-                            cell_label=cell.label(),
-                            gamma_star=cell.gamma,
-                            sigma2_star=cell.sigma2,
-                            n=n,
-                            estimator=est,
-                            coord=coord,
-                            sqrt_mse=sqrt_mse,
-                            bias=bias,
-                            mc_se=mc_se,
-                            replications_used=used,
-                            failures=failures,
-                        )
-                    )
-    return MCReport(config=config, records=records, raw=raw)
+            tables = _run_replications(config, spec, n, n_index, cell_index)
+            raw.update({(cell_index, n, est): table for est, table in tables.items()})
+    return MCReport(config=config, raw=raw)
 
 
 def emit_table(report: MCReport, format: str = "markdown") -> str:
     """sqrt-MSE table: one row per (n, estimator), one column per
     (cell, coordinate)."""
-    if not report.records:
+    if not report.raw:
         raise ValueError("empty report")
     config = report.config
     coord_names = GAMMA_NAMES[config.family] + ("sigma2",)

@@ -18,7 +18,7 @@ import longmem.estimate as estimate
 from longmem.cli import _residual_mu4, build_parser, detrend_linear, main
 from longmem.estimate import ESTIMATORS, blue_mean, fit_qmle, predictors, standard_errors
 from longmem.models import ModelSpec
-from longmem.montecarlo import MCConfig, run_mc
+from longmem.montecarlo import MCConfig, emit_table, run_mc
 from longmem.simulate import (
     EmbeddingError,
     GenConfig,
@@ -207,6 +207,14 @@ def test_cli_mc_runs_config(tmp_path, capsys):
     assert "| n | estimator |" in printed
     data = json.loads(report.read_text())
     assert data["records"][0]["n"] == 200
+
+
+@pytest.mark.parametrize("fmt", ["csv", "markdown"])
+def test_cli_mc_prints_the_table_as_emitted(tmp_path, capsys, fmt):
+    # one trailing newline: a CSV reader sees no empty last record
+    config = _write_mc_config(tmp_path / "mc.json", replications=3)
+    assert run_cli("mc", "--config", str(config), "--table", fmt) == 0
+    assert capsys.readouterr().out == emit_table(run_mc(MCConfig.from_json(config)), fmt)
 
 
 def test_cli_mc_bad_config(tmp_path):

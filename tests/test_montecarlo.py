@@ -4,6 +4,7 @@ import io
 import json
 
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -369,6 +370,61 @@ def test_report_json_is_strict_for_single_replication(tmp_path):
     data = json.loads(out.read_text(), parse_constant=reject)
     assert [rec["mc_se"] for rec in data["records"]] == [None, None]
     assert data["records"][0]["sqrt_mse"] == report.lookup(0, 200, "qmle", "d").sqrt_mse
+
+
+def test_report_is_its_raw_tables(tmp_path):
+    # records are computed from raw on request, so a report rebuilt from the
+    # config and raw tables alone writes the same JSON
+    report = run_mc(small_config(replications=3, estimators=("qmle", "whittle")))
+    rebuilt = montecarlo.MCReport(config=report.config, raw=report.raw)
+    assert rebuilt.as_dict() == report.as_dict()
+    report.to_json(tmp_path / "a.json")
+    rebuilt.to_json(tmp_path / "b.json")
+    assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "key",
+    [(1, 200, "qmle", "d"), (0, 300, "qmle", "d"), (0, 200, "whittle", "d"), (0, 200, "qmle", "alpha")],
+    ids=["cell", "n", "estimator", "coord"],
+)
+def test_lookup_of_an_absent_record_raises_key_error(key):
+    report = run_mc(small_config(replications=2))
+    with pytest.raises(KeyError) as info:
+        report.lookup(*key)
+    assert info.value.args == (key,)
+
+
+def test_emit_table_of_a_report_without_raw_tables_fails():
+    with pytest.raises(ValueError, match="empty report"):
+        emit_table(montecarlo.MCReport(config=small_config()))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k", [532, -564])
+def test_records_at_any_noise_scale(k):
+    # a sigma2 of 2**k scales every QMLE sigma2 error by exactly 2**k, whose
+    # square overflows (k = 532) or underflows (k = -564) in plain units
+    def run(sigma2):
+        config = small_config(
+            cells=(MCCell(gamma=(0.2,), sigma2=sigma2),),
+            n_grid=(300,),
+            replications=16,
+            estimators=("qmle", "whittle"),
+            base_seed=5,
+        )
+        return run_mc(config)
+
+    unit, scaled = run(1.0), run(2.0**k)
+    fields = ("sqrt_mse", "bias", "mc_se", "replications_used", "failures")
+    a, b = (r.lookup(0, 300, "qmle", "d") for r in (unit, scaled))
+    assert [getattr(b, f) for f in fields] == [getattr(a, f) for f in fields]
+    a, b = (r.lookup(0, 300, "qmle", "sigma2") for r in (unit, scaled))
+    for f in ("sqrt_mse", "bias", "mc_se"):
+        assert getattr(b, f) == math.ldexp(getattr(a, f), k)
+    for coord in ("d", "sigma2"):
+        rec = scaled.lookup(0, 300, "whittle", coord)
+        assert all(0 < value < math.inf for value in (rec.sqrt_mse, rec.mc_se))
 
 
 def test_config_validation():
