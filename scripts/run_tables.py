@@ -26,7 +26,7 @@ NEAR_HALF_BOUNDS = ((0.01, 0.75),)
 
 def build_config(table: str, full: bool, base_seed: int, reps_override=None) -> MCConfig:
     n_grid = (300, 1000, 3000, 10000) if full else (300, 1000, 3000)
-    reps = reps_override or (1000 if full else 300)
+    reps = reps_override if reps_override is not None else (1000 if full else 300)
     if table == "farima":
         return MCConfig(
             family="farima00",
@@ -82,6 +82,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=20240915)
     parser.add_argument("--out-prefix", default=None, help="write <prefix>_<table>.json reports")
     args = parser.parse_args(argv)
+    if args.reps is not None and args.reps < 1:
+        parser.error(f"--reps must be at least 1, got {args.reps}")
 
     for table in args.table or ["farima", "lm", "farima10", "near-half"]:
         config = build_config(table, args.full, args.seed, args.reps)

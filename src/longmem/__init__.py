@@ -8,21 +8,17 @@ from .estimate import (
     IdentifiabilityError,
     ToeplitzError,
     asymptotic_covariance,
-    blue_efficiency,
     blue_mean,
     blue_weights,
     fit_batch,
     fit_qmle,
     fit_whittle,
     fourier_frequencies,
-    mean_clt_scale,
     periodogram,
     qmle_gradient,
     qmle_objective,
-    quasi_loglik,
     spectral_density,
     standard_errors,
-    truncated_predictor,
 )
 from .models import (
     Family,
@@ -45,9 +41,8 @@ from .simulate import (
     series_from_csv,
     series_to_csv,
     simulate,
-    white_noise,
 )
-from .specfun import beta_fn, log_gamma, riemann_zeta
+from .specfun import riemann_zeta
 
 __version__ = "0.1.0"
 
@@ -68,8 +63,6 @@ __all__ = [
     "ar_coeffs_gamma",
     "asymptotic_covariance",
     "autocovariance",
-    "beta_fn",
-    "blue_efficiency",
     "blue_mean",
     "blue_weights",
     "dar_coeffs",
@@ -82,13 +75,10 @@ __all__ = [
     "fit_whittle",
     "fourier_frequencies",
     "invert_series",
-    "log_gamma",
     "ma_coeffs",
-    "mean_clt_scale",
     "periodogram",
     "qmle_gradient",
     "qmle_objective",
-    "quasi_loglik",
     "riemann_zeta",
     "run_mc",
     "series_from_csv",
@@ -96,6 +86,4 @@ __all__ = [
     "simulate",
     "spectral_density",
     "standard_errors",
-    "truncated_predictor",
-    "white_noise",
 ]

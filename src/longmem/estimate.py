@@ -24,9 +24,9 @@
   preconditioner, each step two FFT products, O(n log n) in all, started
   from the closed-form BLUE of fractional noise; a column that is not a
   covariance raises ToeplitzError.  Plus the asymptotic covariance of the
-  QMLE (matrix M and the sigma2 block) and helper scales.  M is the exact
-  limit information matrix, from its spectral form: in closed form for
-  FARIMA, by one fixed Gauss-Laguerre rule for LM.
+  QMLE (matrix M and the sigma2 block).  M is the exact limit information
+  matrix, from its spectral form: in closed form for FARIMA, by one fixed
+  Gauss-Laguerre rule for LM.
 
 Every fit is one bounded golden-section/parabolic search over d: a port of
 scipy.optimize's bounded minimize_scalar (Brent 1973) as a generator, which
@@ -65,7 +65,7 @@ from .models import (
     gamma_domain,
 )
 from .simulate import Series
-from .specfun import ZETA_SERIES_TERMS, beta_fn, digamma, gauss_rule, riemann_zeta, zeta_series
+from .specfun import ZETA_SERIES_TERMS, digamma, gauss_rule, riemann_zeta, zeta_series
 
 logger = logging.getLogger(__name__)
 
@@ -74,11 +74,9 @@ __all__ = [
     "AsymptoticInfo",
     "IdentifiabilityError",
     "ToeplitzError",
-    "truncated_predictor",
     "predictors",
     "qmle_objective",
     "qmle_gradient",
-    "quasi_loglik",
     "check_fit",
     "fit_batch",
     "fit_qmle",
@@ -91,8 +89,6 @@ __all__ = [
     "asymptotic_covariance",
     "blue_weights",
     "blue_mean",
-    "blue_efficiency",
-    "mean_clt_scale",
 ]
 
 # margin keeping optimizer iterates strictly inside the compact domain
@@ -187,20 +183,6 @@ def predictors(values: np.ndarray, family: Family, gamma: tuple[float, ...]) -> 
     return _predict(rfft(values, N), ar_coeffs_gamma(family, gamma, values.size - 1), N)
 
 
-def truncated_predictor(series: Series, family: Family, gamma, t: int) -> float:
-    """mhat_t(gamma) = sum_{i=1}^{t-1} u_i(gamma) X_{t-i}, with mhat_1 = 0.
-
-    t is 1-indexed, 1 <= t <= n.
-    """
-    values = series.values
-    if not 1 <= t <= values.size:
-        raise IndexError(f"t must lie in [1, {values.size}], got {t}")
-    if t == 1:
-        return 0.0
-    u = ar_coeffs_gamma(family, gamma, t - 1)
-    return float(np.dot(u, values[t - 2 :: -1]))
-
-
 def qmle_objective(series: Series, family: Family, gamma) -> float:
     """Prediction error sum S_n(gamma) = sum_t (X_t - mhat_t(gamma))^2."""
     resid = series.values - predictors(series.values, family, tuple(gamma))
@@ -216,13 +198,6 @@ def qmle_gradient(series: Series, family: Family, gamma) -> np.ndarray:
     X = rfft(values, N)
     resid = values - _predict(X, ar_coeffs_gamma(family, gamma, n - 1), N)
     return -2.0 * (_predict(X, dar_coeffs_gamma(family, gamma, n - 1), N) @ resid)
-
-
-def quasi_loglik(series: Series, family: Family, gamma, sigma2: float) -> float:
-    """Gaussian quasi conditional log-likelihood of (gamma, sigma2)."""
-    n = series.n
-    s = qmle_objective(series, family, gamma)
-    return -0.5 * (n * math.log(sigma2) + s / sigma2)
 
 
 def standard_errors(
@@ -895,18 +870,3 @@ def blue_mean(series: Series, spec: ModelSpec) -> float:
     w = blue_weights(r)
     return float(np.dot(w, series.values))
 
-
-def blue_efficiency(d: float) -> float:
-    """Limit of Var(sample mean) / Var(BLUE): pi d (2d+1) / (B(1-d,1-d) sin(pi d))."""
-    if not 0.0 < d < 0.5:
-        raise ValueError(f"d must lie in (0, 1/2), got {d}")
-    return math.pi * d * (2.0 * d + 1.0) / (beta_fn(1.0 - d, 1.0 - d) * math.sin(math.pi * d))
-
-
-def mean_clt_scale(n: int, d: float) -> float:
-    """Normalization n^(1/2 - d) of the mean estimators' convergence rate."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 0.0 <= d < 0.5:
-        raise ValueError(f"d must lie in [0, 1/2), got {d}")
-    return float(n) ** (0.5 - d)

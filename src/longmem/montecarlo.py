@@ -74,6 +74,12 @@ def _names(value) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _short(value: float) -> str:
+    # :g keeps six digits, so 0.2 and 0.2000001 would share a label
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
+
+
 @dataclass(frozen=True)
 class MCCell:
     """One true-parameter cell (gamma*, sigma2*), with optional overrides."""
@@ -93,8 +99,8 @@ class MCCell:
             )
 
     def label(self) -> str:
-        parts = [f"{v:g}" for v in self.gamma]
-        return "g=(" + ",".join(parts) + f") s2={self.sigma2:g}"
+        parts = [_short(v) for v in self.gamma]
+        return "g=(" + ",".join(parts) + f") s2={_short(self.sigma2)}"
 
     def spec(self, family: Family) -> ModelSpec:
         return ModelSpec(

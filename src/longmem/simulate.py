@@ -31,7 +31,6 @@ __all__ = [
     "GenConfig",
     "EmbeddingError",
     "simulate",
-    "white_noise",
     "rng_from_seed",
     "derive_seed",
     "series_to_csv",
@@ -98,16 +97,23 @@ class GenConfig:
     def __post_init__(self):
         if self.generator not in GENERATORS:
             raise ValueError(f"unknown generator {self.generator!r}, expected one of {GENERATORS}")
-        if isinstance(self.seed, np.random.SeedSequence):
-            return
-        # operator.index(True) is 1, so a bool would pass for seed 1
-        try:
-            if isinstance(self.seed, (bool, np.bool_)) or operator.index(self.seed) < 0:
-                raise ValueError
-        except (TypeError, ValueError):
+        if not isinstance(self.seed, np.random.SeedSequence) and not _count(self.seed):
             raise ValueError(
                 f"seed: expected a non-negative integer or a SeedSequence, got {self.seed!r}"
-            ) from None
+            )
+        if self.K is not None and not _count(self.K):
+            raise ValueError(f"K: expected None or a non-negative integer, got {self.K!r}")
+
+
+def _count(value) -> bool:
+    """Whether value is a non-negative integer; operator.index(True) is 1, so
+    a bool is rejected by name."""
+    if isinstance(value, (bool, np.bool_)):
+        return False
+    try:
+        return operator.index(value) >= 0
+    except TypeError:
+        return False
 
 
 def rng_from_seed(seed) -> np.random.Generator:
@@ -120,13 +126,6 @@ def rng_from_seed(seed) -> np.random.Generator:
 def derive_seed(base_seed: int, *key: int) -> np.random.SeedSequence:
     """Stable per-task seed derivation: (base, key) -> independent stream."""
     return np.random.SeedSequence(int(base_seed), spawn_key=tuple(int(k) for k in key))
-
-
-def white_noise(n: int, seed) -> np.ndarray:
-    """i.i.d. standard normal draws, deterministic in the seed."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return rng_from_seed(seed).standard_normal(n)
 
 
 def _next_pow2(m: int) -> int:

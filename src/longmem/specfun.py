@@ -1,16 +1,15 @@
-"""Special functions: log-gamma, 1/Gamma, digamma, Beta, the Riemann zeta
-function with its first derivative, and Gauss quadrature rules, from numpy
-and the math module alone.
+"""Special functions: 1/Gamma, digamma, the Riemann zeta function with its
+first derivative, and Gauss quadrature rules, from numpy and the math module
+alone.
 
-log_gamma, rgamma and beta_fn apply math.lgamma and math.gamma element by
-element: no array that reaches them has more than 50 entries.  zeta and
-zeta' come from Euler-Maclaurin summation for s >= -1/2 and from the
-functional equation below it.  zeta on [-48, 2) is read from a table built
-from them on first use: one Chebyshev series in d per row k of
-zeta(1 + d - k), d in [0, 1], k < ZETA_SERIES_TERMS, which holds every value
-the LM polylogarithm series needs.  gauss_rule builds a Gauss rule from its
-three-term recurrence.  Everything here is pure and reentrant; the zeta
-table is the one value kept.
+rgamma applies math.gamma element by element: no array that reaches it has
+more than 50 entries.  zeta and zeta' come from Euler-Maclaurin summation for
+s >= -1/2 and from the functional equation below it.  zeta on [-48, 2) is
+read from a table built from them on first use: one Chebyshev series in d per
+row k of zeta(1 + d - k), d in [0, 1], k < ZETA_SERIES_TERMS, which holds
+every value the LM polylogarithm series needs.  gauss_rule builds a Gauss
+rule from its three-term recurrence.  Everything here is pure and
+reentrant; the zeta table is the one value kept.
 """
 
 from __future__ import annotations
@@ -20,23 +19,13 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = [
-    "log_gamma", "rgamma", "digamma", "beta_fn", "riemann_zeta", "zeta_series", "ZETA_SERIES_TERMS", "gauss_rule"
-]
+__all__ = ["rgamma", "digamma", "riemann_zeta", "zeta_series", "ZETA_SERIES_TERMS", "gauss_rule"]
 
 
 def _elementwise(fn, x):
     arr = np.asarray(x, dtype=float)
     out = np.array([fn(v) for v in arr.ravel().tolist()]).reshape(arr.shape)
     return float(out) if out.ndim == 0 else out
-
-
-def log_gamma(x):
-    """ln Gamma(x) for x > 0 (scalar or array)."""
-    arr = np.asarray(x, dtype=float)
-    if not np.all(arr > 0.0):
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return _elementwise(math.lgamma, arr)
 
 
 def rgamma(x):
@@ -63,13 +52,6 @@ def digamma(x):
     steps = (1.0 / np.add.outer(x, np.arange(float(_DIGAMMA_SHIFTS)))).sum(axis=-1)
     out = np.log(y) - 0.5 / y - series - steps
     return float(out) if out.ndim == 0 else out
-
-
-def beta_fn(a: float, b: float) -> float:
-    """Beta function B(a, b) = Gamma(a) Gamma(b) / Gamma(a+b), a, b > 0."""
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError(f"beta_fn requires positive arguments, got ({a}, {b})")
-    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
 # Bernoulli numbers B_2 .. B_10 for the Euler-Maclaurin corrections, over (2j)!

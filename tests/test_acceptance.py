@@ -13,7 +13,6 @@ from scipy.integrate import quad
 
 from longmem.estimate import (
     asymptotic_covariance,
-    blue_efficiency,
     blue_weights,
     fit_qmle,
     periodogram,
@@ -30,7 +29,7 @@ from longmem.models import (
 )
 from longmem.models import _autocov_by_convolution
 from longmem.montecarlo import MCCell, MCConfig, run_mc
-from longmem.simulate import GenConfig, Series, simulate, white_noise
+from longmem.simulate import GenConfig, Series, rng_from_seed, simulate
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -232,6 +231,14 @@ def test_criterion_9_degradation_near_half():
     )
 
 
+def blue_efficiency(d: float) -> float:
+    """Limit of Var(BLUE) / Var(sample mean) for fractional noise, d in
+    (0, 1/2): pi d (2d+1) / (B(1-d, 1-d) sin(pi d))."""
+    a = 1.0 - d
+    beta = math.exp(math.lgamma(a) + math.lgamma(a) - math.lgamma(a + a))
+    return math.pi * d * (2.0 * d + 1.0) / (beta * math.sin(math.pi * d))
+
+
 def test_criterion_10_blue():
     # efficiency formula stays inside the target band
     grid = np.arange(0.05, 0.46, 0.05)
@@ -301,7 +308,7 @@ def test_criterion_11_property_suite():
     details.append(f"gradient rel gap {abs(grad - fd) / max(1.0, abs(fd)):.1e}")
 
     # Parseval at 1e-10
-    x = Series(values=white_noise(501, seed=1112))
+    x = Series(values=rng_from_seed(1112).standard_normal(501))
     pgram = periodogram(x)
     sample_var = float(np.mean((x.values - x.values.mean()) ** 2))
     parseval_gap = abs((2.0 * math.pi / 501) * 2.0 * pgram.sum() - sample_var)

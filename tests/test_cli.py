@@ -23,10 +23,10 @@ from longmem.simulate import (
     EmbeddingError,
     GenConfig,
     Series,
+    rng_from_seed,
     series_from_csv,
     series_to_csv,
     simulate,
-    white_noise,
 )
 
 
@@ -480,7 +480,7 @@ def test_cli_fit_whittle_of_an_underflowing_series_names_the_cause(tmp_path, cap
     # the squares of a 1e-200-scaled series underflow: the periodogram is
     # zero although the series is not constant
     path = tmp_path / "tiny.csv"
-    series_to_csv(Series(values=1e-200 * white_noise(300, seed=4)), path)
+    series_to_csv(Series(values=1e-200 * rng_from_seed(4).standard_normal(300)), path)
     assert run_cli("fit", str(path), "--estimator", "whittle") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: the periodogram is zero") and "squares underflow" in err
@@ -818,7 +818,7 @@ def test_cli_mc_failed_campaign_leaves_no_new_out_file(tmp_path, capsys, monkeyp
 )
 def test_cli_prints_library_warnings_as_warning_lines(tmp_path, capsys, argv, messages):
     path = tmp_path / "ten.csv"
-    series_to_csv(Series(values=white_noise(10, seed=5)), path)
+    series_to_csv(Series(values=rng_from_seed(5).standard_normal(10)), path)
     code = run_cli(argv[0], str(path), *argv[1:])
     captured = capsys.readouterr()
     json.loads(captured.out)  # stdout still holds the JSON result alone

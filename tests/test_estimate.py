@@ -11,25 +11,31 @@ from scipy.signal import fftconvolve
 import longmem.estimate as estimate
 from longmem.estimate import (
     asymptotic_covariance,
-    blue_efficiency,
     blue_mean,
     blue_weights,
     fit_batch,
     fit_qmle,
     fit_whittle,
     fourier_frequencies,
-    mean_clt_scale,
     periodogram,
     predictors,
     qmle_gradient,
     qmle_objective,
-    quasi_loglik,
     spectral_density,
     standard_errors,
-    truncated_predictor,
 )
-from longmem.models import Family, ModelSpec, ar_coeffs, autocovariance, dar_coeffs, default_gamma_bounds, ma_coeffs
-from longmem.simulate import GenConfig, Series, simulate, white_noise
+from longmem.models import (
+    Family,
+    ModelSpec,
+    ar_coeffs,
+    ar_coeffs_gamma,
+    autocovariance,
+    dar_coeffs,
+    default_gamma_bounds,
+    ma_coeffs,
+)
+from longmem.simulate import GenConfig, Series, rng_from_seed, simulate
+from test_acceptance import blue_efficiency
 
 
 def spec_of(family, *gamma, sigma2=1.0, **kw):
@@ -47,20 +53,24 @@ def sim(family, gamma, sigma2, n, seed, mu=0.0):
 # ---------------------------------------------------------------------------
 
 
+def truncated_predictor(series, family, gamma, t):
+    """mhat_t(gamma) = sum_{i=1}^{t-1} u_i(gamma) X_{t-i}, with mhat_1 = 0 and
+    t 1-indexed: the direct sum that predictors computes as one FFT product."""
+    if t == 1:
+        return 0.0
+    return float(np.dot(ar_coeffs_gamma(family, gamma, t - 1), series.values[t - 2 :: -1]))
+
+
 def test_predictor_conventions():
-    series = Series(values=white_noise(50, seed=2))
+    series = Series(values=rng_from_seed(2).standard_normal(50))
     assert truncated_predictor(series, "farima00", (0.3,), 1) == 0.0
     u1 = ar_coeffs(spec_of("farima00", 0.3), 1)[0]
     expected = u1 * series.values[0]
     assert truncated_predictor(series, "farima00", (0.3,), 2) == pytest.approx(expected, rel=1e-14)
-    with pytest.raises(IndexError):
-        truncated_predictor(series, "farima00", (0.3,), 0)
-    with pytest.raises(IndexError):
-        truncated_predictor(series, "farima00", (0.3,), 51)
 
 
 def test_predictor_brute_force_oracle():
-    series = Series(values=white_noise(50, seed=11))
+    series = Series(values=rng_from_seed(11).standard_normal(50))
     u = ar_coeffs(spec_of("farima00", 0.3), 49)
     t = 50
     brute = 0.0
@@ -78,7 +88,7 @@ def test_predictor_brute_force_oracle():
 def test_predictors_match_direct_sum(family, gamma, n):
     # the FFT product against the direct sum at every t; mhat_1 is exactly 0
     # in the sum, so FFT rounding there needs the absolute floor
-    series = Series(values=white_noise(n, seed=n))
+    series = Series(values=rng_from_seed(n).standard_normal(n))
     fast = predictors(series.values, family, gamma)
     direct = np.array([truncated_predictor(series, family, gamma, t) for t in range(1, n + 1)])
     np.testing.assert_allclose(fast, direct, rtol=1e-12, atol=1e-13 * np.max(np.abs(direct)))
@@ -200,14 +210,19 @@ def test_fit_qmle_scale_invariance():
 def test_fit_qmle_beats_grid_competitors_in_quasi_loglik():
     series = sim("farima00", (0.3,), 2.0, 600, seed=47)
     fit = fit_qmle(series, "farima00")
-    best = quasi_loglik(series, "farima00", fit.gamma_hat, fit.sigma2_hat)
+
+    def quasi_loglik(gamma, sigma2):
+        s = qmle_objective(series, "farima00", gamma)
+        return -0.5 * (series.n * math.log(sigma2) + s / sigma2)
+
+    best = quasi_loglik(fit.gamma_hat, fit.sigma2_hat)
     for d in np.linspace(0.011, 0.489, 40):
         s2 = qmle_objective(series, "farima00", (d,)) / series.n
-        assert best >= quasi_loglik(series, "farima00", (d,), s2) - 1e-9
+        assert best >= quasi_loglik((d,), s2) - 1e-9
 
 
 def test_fit_qmle_small_n_warns():
-    series = Series(values=white_noise(20, seed=3))
+    series = Series(values=rng_from_seed(3).standard_normal(20))
     with pytest.warns(UserWarning):
         fit_qmle(series, "farima00")
 
@@ -280,7 +295,7 @@ def test_fit_batch_raises_for_a_check_every_row_shares(monkeypatch, estimator, n
     # than being returned once per row
     rows = {"qmle": estimate._QmleRows, "whittle": estimate._WhittleRows}[estimator]
     monkeypatch.setattr(rows, "contrasts", lambda *args: pytest.fail("evaluated"))
-    series = [Series(values=white_noise(n, seed=s)) for s in (1, 2)]
+    series = [Series(values=rng_from_seed(s).standard_normal(n)) for s in (1, 2)]
     with pytest.raises(ValueError, match=message):
         fit_batch(series, "lm", estimator, bounds=bounds)
 
@@ -502,7 +517,7 @@ def test_fit_qmle_farima10_all_zero_series():
 def test_fit_qmle_with_zero_sigma2_is_not_converged(family, scale):
     # S_n is 0 on an all-zero series and underflows to 0 at 1e-200: a zero
     # sigma2_hat fits no model of the family, whose sigma2 is positive
-    fit = fit_qmle(Series(values=scale * white_noise(300, seed=5)), family)
+    fit = fit_qmle(Series(values=scale * rng_from_seed(5).standard_normal(300)), family)
     assert fit.sigma2_hat == 0.0
     assert not fit.converged
 
@@ -576,7 +591,7 @@ def test_periodogram_constant_series_is_zero():
 
 def test_periodogram_parseval():
     for n in (128, 129, 500):
-        series = Series(values=white_noise(n, seed=n))
+        series = Series(values=rng_from_seed(n).standard_normal(n))
         pgram = periodogram(series)
         # sum over all nonzero DFT frequencies: double j <= (n-1)/2, plus the
         # Nyquist term when n is even
@@ -701,7 +716,7 @@ def test_spectral_density_rejects_zero():
 
 
 def test_whittle_white_noise_pins_at_lower_bound():
-    series = Series(values=white_noise(2000, seed=71))
+    series = Series(values=rng_from_seed(71).standard_normal(2000))
     fit = fit_whittle(series, "farima00")
     assert fit.gamma_hat[0] < 0.02
     assert fit.boundary_pinned
@@ -1062,7 +1077,7 @@ def test_blue_weights_near_unit_root_end_by_the_residual_test():
 
 
 def test_blue_mean_white_noise_limit_is_sample_mean():
-    series = Series(values=white_noise(200, seed=83) + 1.5)
+    series = Series(values=rng_from_seed(83).standard_normal(200) + 1.5)
     spec = spec_of("farima00", 1e-9, gamma_bounds=((1e-10, 0.49),))
     assert blue_mean(series, spec) == pytest.approx(series.values.mean(), rel=1e-8)
 
@@ -1081,21 +1096,17 @@ def test_blue_mean_matches_dense_solve():
 
 
 def test_blue_efficiency_examples():
-    assert 0.98 <= blue_efficiency(0.25) <= 1.0
-    assert blue_efficiency(1e-9) == pytest.approx(1.0, abs=1e-6)
-    with pytest.raises(ValueError):
-        blue_efficiency(0.0)
-    with pytest.raises(ValueError):
-        blue_efficiency(0.5)
+    # Var(BLUE) / Var(sample mean) from the library's autocovariance and BLUE
+    # weights at n = 2000, against its limit in d (the gap falls as n grows)
+    from scipy.linalg import matmul_toeplitz
 
-
-def test_mean_clt_scale_values():
-    assert mean_clt_scale(100, 0.0) == pytest.approx(10.0)
-    assert mean_clt_scale(100, 0.3) == pytest.approx(100.0**0.2)
-    with pytest.raises(ValueError):
-        mean_clt_scale(0, 0.2)
-    with pytest.raises(ValueError):
-        mean_clt_scale(10, 0.5)
+    n = 2000
+    ones = np.ones(n)
+    for d in (0.1, 0.25, 0.4):
+        r = autocovariance(spec_of("farima00", d), n - 1)
+        w = blue_weights(r)
+        ratio = (w @ matmul_toeplitz(r, w)) / (ones @ matmul_toeplitz(r, ones) / n**2)
+        assert ratio == pytest.approx(blue_efficiency(d), abs=1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -1108,8 +1119,6 @@ def test_predictor_truncation_error_decays():
     # the (nearly) full-past predictor at the true parameter; the squared gap
     # should decay roughly like t^(-2d).
     from scipy.signal import fftconvolve
-
-    from longmem.simulate import rng_from_seed
 
     d = 0.3
     spec = spec_of("farima00", d)

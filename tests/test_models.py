@@ -26,7 +26,10 @@ from longmem.models import (
     _tail_corrections,
     _weight_expansion,
 )
-from longmem.specfun import log_gamma, riemann_zeta
+from longmem.specfun import riemann_zeta
+
+# ln Gamma element by element, as an oracle for the gamma-ratio coefficients
+lgamma = np.vectorize(math.lgamma)
 
 
 def spec_of(family, *gamma, sigma2=1.0, **kw):
@@ -82,7 +85,7 @@ def test_ma_farima00_leading_terms():
     assert a[0] == 1.0
     assert a[1] == pytest.approx(0.3, abs=1e-15)
     # gamma-formula oracle: a_2 = Gamma(2+d) / (Gamma(3) Gamma(d))
-    oracle = math.exp(log_gamma(2.3) - log_gamma(3.0) - log_gamma(0.3))
+    oracle = math.exp(math.lgamma(2.3) - math.lgamma(3.0) - math.lgamma(0.3))
     assert a[2] == pytest.approx(oracle, rel=1e-14)
     assert a[2] == pytest.approx(0.195, abs=1e-15)
 
@@ -91,7 +94,7 @@ def test_ma_farima00_matches_gamma_formula():
     d = 0.27
     a = ma_coeffs(spec_of("farima00", d), 300)
     k = np.arange(1, 301)
-    oracle = np.exp(log_gamma(k + d) - log_gamma(k + 1.0) - log_gamma(d))
+    oracle = np.exp(lgamma(k + d) - lgamma(k + 1.0) - lgamma(d))
     assert np.allclose(a[1:], oracle, rtol=1e-12, atol=0)
 
 
@@ -129,7 +132,7 @@ def test_ar_farima00_matches_log_gamma_closed_form():
     d = 0.3
     u = ar_coeffs(spec_of("farima00", d), 200)
     k = np.arange(1, 201)
-    oracle = d * np.exp(log_gamma(k - d) - log_gamma(1.0 - d) - log_gamma(k + 1.0))
+    oracle = d * np.exp(lgamma(k - d) - lgamma(1.0 - d) - lgamma(k + 1.0))
     assert np.max(np.abs(u - oracle) / oracle) < 1e-12
 
 

@@ -272,7 +272,12 @@ def test_whittle_estimator_campaign():
 def test_emit_table_shapes_and_round_trip():
     config = MCConfig(
         family="farima00",
-        cells=(MCCell(gamma=(0.1,), sigma2=4.0), MCCell(gamma=(0.3,), sigma2=4.0)),
+        cells=(
+            MCCell(gamma=(0.1,), sigma2=4.0),
+            MCCell(gamma=(0.3,), sigma2=4.0),
+            # :g alone writes 0.3 for this cell too
+            MCCell(gamma=(0.3000001,), sigma2=4.0),
+        ),
         n_grid=(200, 400),
         replications=4,
         estimators=("qmle", "whittle"),
@@ -282,6 +287,7 @@ def test_emit_table_shapes_and_round_trip():
 
     table_csv = emit_table(report, format="csv")
     rows = list(csv.reader(io.StringIO(table_csv)))
+    assert len(set(rows[0])) == len(rows[0])
     assert len(rows) == 1 + len(config.n_grid) * len(config.estimators)
     # two key columns (n, estimator) plus cells x coordinates data columns
     assert len(rows[0]) == 2 + len(config.cells) * 2
@@ -310,6 +316,13 @@ def test_emit_table_shapes_and_round_trip():
 
     with pytest.raises(ValueError):
         emit_table(report, format="html")
+
+
+def test_cell_labels_keep_short_text_unless_it_rounds():
+    assert MCCell(gamma=(0.2,), sigma2=1e160).label() == "g=(0.2) s2=1e+160"
+    assert MCCell(gamma=(0.1, 0.9), sigma2=1e-170).label() == "g=(0.1,0.9) s2=1e-170"
+    assert MCCell(gamma=(0.2000001,), sigma2=4.0).label() == "g=(0.2000001) s2=4"
+    assert MCCell(gamma=(0.2,), sigma2=1.0 / 3.0).label() == "g=(0.2) s2=0.3333333333333333"
 
 
 def test_config_json_round_trip(tmp_path):

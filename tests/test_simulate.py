@@ -13,24 +13,21 @@ from longmem.simulate import (
     series_from_csv,
     series_to_csv,
     simulate,
-    white_noise,
 )
 
 
 def test_white_noise_moments():
-    eps = white_noise(10**6, seed=123)
+    # the innovations every generator draws: rng_from_seed's standard normals
+    eps = rng_from_seed(123).standard_normal(10**6)
     assert abs(eps.mean()) < 3.1 / np.sqrt(10**6)  # CLT band
     assert abs(eps.var() - 1.0) < 3.1 * np.sqrt(2.0 / 10**6)
 
 
 def test_white_noise_deterministic():
-    assert np.array_equal(white_noise(1000, seed=5), white_noise(1000, seed=5))
-    assert not np.array_equal(white_noise(1000, seed=5), white_noise(1000, seed=6))
-
-
-def test_white_noise_rejects_bad_n():
-    with pytest.raises(ValueError):
-        white_noise(0, seed=1)
+    draw = lambda seed: rng_from_seed(seed).standard_normal(1000)
+    assert np.array_equal(draw(5), draw(5))
+    assert np.array_equal(draw(np.random.SeedSequence(5)), draw(5))
+    assert not np.array_equal(draw(5), draw(6))
 
 
 def test_series_validation():
@@ -61,6 +58,22 @@ def test_genconfig_rejects_a_bad_seed(seed):
     # a negative seed names neither the field nor the value
     with pytest.raises(ValueError, match="seed: expected a non-negative integer"):
         GenConfig(seed=seed)
+
+
+@pytest.mark.parametrize("K", [-1, 2500.7, "3000", True, np.bool_(True), [3000]])
+def test_genconfig_rejects_a_bad_truncation(K):
+    # a float failed inside numpy, a string at the K >= n comparison, and
+    # True was taken as K = 1
+    with pytest.raises(ValueError, match="K: expected None or a non-negative integer"):
+        GenConfig(generator="truncated-ma", K=K)
+
+
+def test_genconfig_accepts_integer_truncations():
+    spec = ModelSpec(family="farima00", gamma=(0.2,))
+    x = simulate(spec, 200, GenConfig(generator="truncated-ma", seed=3, K=2000)).values
+    y = simulate(spec, 200, GenConfig(generator="truncated-ma", seed=3, K=np.int64(2000))).values
+    assert np.array_equal(x, y)
+    assert GenConfig(K=None).K is None
 
 
 def test_genconfig_accepts_integer_seeds_and_seed_sequences():
